@@ -19,12 +19,13 @@
  * is replayed off the log drives, and the CSV records MTTR and the
  * throughput on both sides of the outage.
  *
- * Writes `odbsim_faults_xeon-quad-mp.csv` into ODBSIM_CACHE_DIR,
- * honours --jobs/-j/ODBSIM_JOBS with a bit-identical CSV for any job
- * count, and self-checks the degradation physics (exit code 3):
- * throughput must fall monotonically with the fault scale in each
- * profile, and post-recovery throughput must return to >= 95% of the
- * pre-crash rate.
+ * Writes `odbsim_faults_xeon-quad-mp.csv` into the study benches' CSV
+ * directory (--csv-dir / ODBSIM_CSV_DIR), honours --jobs/-j/ODBSIM_JOBS
+ * with a bit-identical CSV for any job count, and self-checks the
+ * degradation physics (exit code 3): throughput must fall
+ * monotonically with the fault scale in each profile, and
+ * post-recovery throughput must return to >= 95% of the pre-crash
+ * rate.
  */
 
 #include "support/bench_common.hh"
@@ -32,7 +33,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -118,8 +118,7 @@ crashFaults()
 std::string
 faultsCsvPath()
 {
-    const char *dir = std::getenv("ODBSIM_CACHE_DIR");
-    std::string path = dir ? dir : ".";
+    std::string path = bench::csvDir();
     path += "/odbsim_faults_xeon-quad-mp.csv";
     return path;
 }

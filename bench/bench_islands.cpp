@@ -14,18 +14,17 @@
  *  - shared-nothing     — four 1-socket instances (island(1)).
  *
  * Writes `odbsim_islands_xeon-quad-mp.csv` (plus a `_profile.csv`
- * sidecar under --profile) into ODBSIM_CACHE_DIR like the study
- * benches, honours --jobs/-j/ODBSIM_JOBS, and self-checks the sweep's
- * headline physics: shared-nothing wins under an expensive
- * interconnect, shared-everything wins when remote access is free
- * (exit code 3 if the crossover is absent).
+ * sidecar under --profile) into the study benches' CSV directory
+ * (--csv-dir / ODBSIM_CSV_DIR), honours --jobs/-j/ODBSIM_JOBS, and
+ * self-checks the sweep's headline physics: shared-nothing wins
+ * under an expensive interconnect, shared-everything wins when remote
+ * access is free (exit code 3 if the crossover is absent).
  */
 
 #include "support/bench_common.hh"
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -102,8 +101,7 @@ topologyFor(double scale)
 std::string
 islandsCsvPath()
 {
-    const char *dir = std::getenv("ODBSIM_CACHE_DIR");
-    std::string path = dir ? dir : ".";
+    std::string path = bench::csvDir();
     path += "/odbsim_islands_xeon-quad-mp.csv";
     return path;
 }

@@ -2,6 +2,7 @@
 
 #include "core/study_io.hh"
 
+#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -21,14 +22,8 @@ figureWarehouseGrid()
 namespace
 {
 
-/** Worker count for study measurement; seeded from ODBSIM_JOBS. */
-unsigned g_jobs = []() -> unsigned {
-    const char *env = std::getenv("ODBSIM_JOBS");
-    if (!env)
-        return 1;
-    const long v = std::strtol(env, nullptr, 10);
-    return v >= 0 ? static_cast<unsigned>(v) : 1;
-}();
+/** Worker count for study measurement (--jobs / ODBSIM_JOBS). */
+unsigned g_jobs = 1;
 
 /** Per-point wall-time reporting; seeded from ODBSIM_PROFILE. */
 bool g_profile = []() {
@@ -36,14 +31,8 @@ bool g_profile = []() {
     return env && *env && std::strcmp(env, "0") != 0;
 }();
 
-/** Engine shard count; seeded from ODBSIM_SHARDS. */
-unsigned g_shards = []() -> unsigned {
-    const char *env = std::getenv("ODBSIM_SHARDS");
-    if (!env)
-        return 1;
-    const long v = std::strtol(env, nullptr, 10);
-    return v >= 1 ? static_cast<unsigned>(v) : 1;
-}();
+/** Engine shard count (--shards / ODBSIM_SHARDS). */
+unsigned g_shards = 1;
 
 /** Event-queue kind; seeded from ODBSIM_EVENT_QUEUE. */
 EventQueueKind g_eq_kind = []() {
@@ -53,23 +42,67 @@ EventQueueKind g_eq_kind = []() {
     return EventQueueKind::wheel;
 }();
 
-/** Intra-run replay worker threads; seeded from ODBSIM_REPLAY_THREADS. */
-unsigned g_replay_threads = []() -> unsigned {
-    const char *env = std::getenv("ODBSIM_REPLAY_THREADS");
-    if (!env)
-        return 1;
-    const long v = std::strtol(env, nullptr, 10);
-    return v >= 0 ? static_cast<unsigned>(v) : 1;
-}();
+/** Intra-run replay worker threads (--replay-threads /
+ *  ODBSIM_REPLAY_THREADS). */
+unsigned g_replay_threads = 1;
 
-/** DES worker threads; seeded from ODBSIM_DES_THREADS. */
-unsigned g_des_threads = []() -> unsigned {
-    const char *env = std::getenv("ODBSIM_DES_THREADS");
-    if (!env)
-        return 1;
-    const long v = std::strtol(env, nullptr, 10);
-    return v >= 0 ? static_cast<unsigned>(v) : 1;
-}();
+/** DES worker threads (--des-threads / ODBSIM_DES_THREADS). */
+unsigned g_des_threads = 1;
+
+/** Largest accepted thread-count knob (0 still means "one per
+ *  hardware thread"). */
+constexpr unsigned maxThreads = 1024;
+/** Largest shard count the lock manager and buffer cache accept. */
+constexpr unsigned maxShards = 256;
+
+/** Report an invalid knob value and exit with status 2. */
+[[noreturn]] void
+rejectKnob(const char *knob, const char *text, const char *why)
+{
+    std::fprintf(stderr, "[bench] invalid %s '%s': %s\n", knob, text,
+                 why);
+    std::exit(2);
+}
+
+/**
+ * Parse @p text as the value of thread-count or shard knob @p knob:
+ * plain decimal digits only (no sign, whitespace or suffix), in
+ * [@p lo, @p hi], and a power of two when @p pow2 is set. Anything
+ * else ends the process through rejectKnob().
+ */
+unsigned
+parseCount(const char *knob, const char *text, unsigned lo, unsigned hi,
+           bool pow2 = false)
+{
+    bool digits = *text != '\0';
+    for (const char *c = text; *c && digits; ++c)
+        digits = *c >= '0' && *c <= '9';
+    if (!digits)
+        rejectKnob(knob, text, "expected a non-negative integer");
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, nullptr, 10);
+    if (errno == ERANGE || v < lo || v > hi) {
+        char why[64];
+        std::snprintf(why, sizeof why, "expected an integer in [%u, %u]",
+                      lo, hi);
+        rejectKnob(knob, text, why);
+    }
+    if (pow2 && (v & (v - 1)) != 0)
+        rejectKnob(knob, text, "expected a power of two");
+    return static_cast<unsigned>(v);
+}
+
+unsigned
+parseThreads(const char *knob, const char *text)
+{
+    return parseCount(knob, text, 0, maxThreads);
+}
+
+unsigned
+parseShards(const char *knob, const char *text)
+{
+    return parseCount(knob, text, 1, maxShards, true);
+}
 
 /** Study-cache CSV directory; resolution order is --csv-dir >
  *  ODBSIM_CSV_DIR > ODBSIM_CACHE_DIR (legacy) > dir(argv[0]),
@@ -137,28 +170,30 @@ costHintFromProfile(const std::string &study_path)
 void
 parseArgs(int argc, char **argv)
 {
+    // Environment first, so the flags below override it.
+    if (const char *env = std::getenv("ODBSIM_JOBS"))
+        g_jobs = parseThreads("ODBSIM_JOBS", env);
+    if (const char *env = std::getenv("ODBSIM_SHARDS"))
+        g_shards = parseShards("ODBSIM_SHARDS", env);
+    if (const char *env = std::getenv("ODBSIM_REPLAY_THREADS"))
+        g_replay_threads = parseThreads("ODBSIM_REPLAY_THREADS", env);
+    if (const char *env = std::getenv("ODBSIM_DES_THREADS"))
+        g_des_threads = parseThreads("ODBSIM_DES_THREADS", env);
+
     for (int i = 1; i < argc; ++i) {
-        const bool is_jobs = std::strcmp(argv[i], "--jobs") == 0 ||
-                             std::strcmp(argv[i], "-j") == 0;
-        if (is_jobs && i + 1 < argc) {
-            const long v = std::strtol(argv[++i], nullptr, 10);
-            if (v < 0) {
-                std::fprintf(stderr, "[bench] ignoring negative --jobs\n");
-                continue;
-            }
-            g_jobs = static_cast<unsigned>(v);
-        } else if (std::strcmp(argv[i], "--profile") == 0) {
+        const char *arg = argv[i];
+        const auto countValue = [&]() -> const char * {
+            if (i + 1 >= argc)
+                rejectKnob(arg, "", "missing value");
+            return argv[++i];
+        };
+        if (std::strcmp(arg, "--jobs") == 0 || std::strcmp(arg, "-j") == 0) {
+            g_jobs = parseThreads(arg, countValue());
+        } else if (std::strcmp(arg, "--profile") == 0) {
             g_profile = true;
-        } else if (std::strcmp(argv[i], "--shards") == 0 &&
-                   i + 1 < argc) {
-            const long v = std::strtol(argv[++i], nullptr, 10);
-            if (v < 1) {
-                std::fprintf(stderr,
-                             "[bench] ignoring non-positive --shards\n");
-                continue;
-            }
-            g_shards = static_cast<unsigned>(v);
-        } else if (std::strcmp(argv[i], "--event-queue") == 0 &&
+        } else if (std::strcmp(arg, "--shards") == 0) {
+            g_shards = parseShards(arg, countValue());
+        } else if (std::strcmp(arg, "--event-queue") == 0 &&
                    i + 1 < argc) {
             const char *kind = argv[++i];
             if (std::strcmp(kind, "heap") == 0) {
@@ -171,27 +206,11 @@ parseArgs(int argc, char **argv)
                              "(expected wheel|heap)\n",
                              kind);
             }
-        } else if (std::strcmp(argv[i], "--replay-threads") == 0 &&
-                   i + 1 < argc) {
-            const long v = std::strtol(argv[++i], nullptr, 10);
-            if (v < 0) {
-                std::fprintf(stderr,
-                             "[bench] ignoring negative "
-                             "--replay-threads\n");
-                continue;
-            }
-            g_replay_threads = static_cast<unsigned>(v);
-        } else if (std::strcmp(argv[i], "--des-threads") == 0 &&
-                   i + 1 < argc) {
-            const long v = std::strtol(argv[++i], nullptr, 10);
-            if (v < 0) {
-                std::fprintf(stderr,
-                             "[bench] ignoring negative "
-                             "--des-threads\n");
-                continue;
-            }
-            g_des_threads = static_cast<unsigned>(v);
-        } else if (std::strcmp(argv[i], "--csv-dir") == 0 &&
+        } else if (std::strcmp(arg, "--replay-threads") == 0) {
+            g_replay_threads = parseThreads(arg, countValue());
+        } else if (std::strcmp(arg, "--des-threads") == 0) {
+            g_des_threads = parseThreads(arg, countValue());
+        } else if (std::strcmp(arg, "--csv-dir") == 0 &&
                    i + 1 < argc) {
             g_csv_dir = argv[++i];
         }

@@ -55,7 +55,13 @@ std::vector<unsigned> figureWarehouseGrid();
  *    source tree or whatever directory the bench was invoked from.
  *
  * Flags win over the environment. Unknown arguments are ignored so
- * bench-specific flags can coexist. Results are seed-deterministic
+ * bench-specific flags can coexist. The count knobs (`--jobs`,
+ * `--shards`, `--replay-threads`, `--des-threads` and their
+ * environment variables) are validated here: a value that is not plain
+ * decimal digits, is out of range ([0, 1024] threads, [1, 256] shards),
+ * is missing, or is a shard count that is not a power of two exits
+ * with status 2 and a message naming the knob, before any simulation
+ * starts. Results are seed-deterministic
  * regardless of the job count (profiling only observes, never
  * perturbs, the simulation). Studies measured with non-default
  * engine knobs bypass the shared CSV cache so the committed goldens

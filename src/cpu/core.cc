@@ -1,7 +1,6 @@
 #include "cpu/core.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 
 #include "sim/logging.hh"
@@ -21,9 +20,7 @@ CpuCore::CpuCore(unsigned id, const CoreConfig &cfg,
                  unsigned mem_cpu_id)
     : id_(id), memId_(mem_cpu_id == ~0u ? id : mem_cpu_id), cfg_(cfg),
       clock_(cfg.freqHz), memsys_(memsys),
-      rng_(seed ^ (0x9e3779b97f4a7c15ULL * (id + 1))),
-      codeLinear_(cfg.codeHotExponent == 1.0),
-      dataLinear_(cfg.dataHotExponent == 1.0)
+      rng_(seed ^ (0x9e3779b97f4a7c15ULL * (id + 1)))
 {
     odbsim_assert(cfg.samplePeriod == memsys.sampleFactor(),
                   "core samplePeriod (", cfg.samplePeriod,
@@ -46,18 +43,13 @@ CpuCore::makeStream(Addr base, std::uint64_t bytes, std::uint64_t stride)
 }
 
 Addr
-CpuCore::sampleStream(const RegionStream &s, double exp, bool linear,
+CpuCore::sampleStream(const RegionStream &s, double exp,
                       std::uint64_t stride)
 {
     // Pick among the region's *sampled* lines (every S-th line) with a
-    // power-law concentration toward the region start. pow(u, 1.0) is
-    // exactly u in IEEE arithmetic, so the linear path is bit-exact.
+    // power-law concentration toward the region start.
     const double u = rng_.uniform();
-    const double skewed = linear ? u : std::pow(u, exp);
-    std::uint64_t idx = static_cast<std::uint64_t>(skewed * s.linesD);
-    if (idx >= s.lines)
-        idx = s.lines - 1;
-    return s.alignedBase + idx * stride;
+    return s.alignedBase + hotSetIndex(u, exp, s.lines, s.linesD) * stride;
 }
 
 double
@@ -125,8 +117,8 @@ CpuCore::execute(const WorkItem &item, Tick now, double cycle_scale)
             item.codeBase, std::max<std::uint64_t>(item.codeBytes, stride),
             stride);
         for (std::uint64_t i = 0; i < n_code; ++i) {
-            const Addr addr = sampleStream(code, cfg_.codeHotExponent,
-                                           codeLinear_, stride);
+            const Addr addr =
+                sampleStream(code, cfg_.codeHotExponent, stride);
             const mem::AccessResult res =
                 accessRef(addr, mem::AccessKind::CodeFetch);
             cycles += stallCyclesFor(res, true) * k;
@@ -160,16 +152,14 @@ CpuCore::execute(const WorkItem &item, Tick now, double cycle_scale)
             Addr addr;
             bool write;
             if ((pick -= wp) < 0.0) {
-                addr = sampleStream(priv, cfg_.dataHotExponent,
-                                    dataLinear_, stride);
+                addr = sampleStream(priv, cfg_.dataHotExponent, stride);
                 write = rng_.chance(cfg_.privateWriteFraction);
             } else if ((pick -= ws) < 0.0) {
-                addr = sampleStream(shared, cfg_.dataHotExponent,
-                                    dataLinear_, stride);
+                addr = sampleStream(shared, cfg_.dataHotExponent, stride);
                 write = rng_.chance(0.10);
             } else {
                 // The frame stream's exponent is 1.0: pure identity.
-                addr = sampleStream(frame, 1.0, true, stride);
+                addr = sampleStream(frame, 1.0, stride);
                 write = rng_.chance(cfg_.frameWriteFraction);
             }
             const mem::AccessResult res =

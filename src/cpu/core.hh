@@ -14,6 +14,8 @@
 #ifndef ODBSIM_CPU_CORE_HH
 #define ODBSIM_CPU_CORE_HH
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 #include "cpu/counters.hh"
@@ -52,6 +54,57 @@ struct CoreConfig
     double dataHotExponent = 1.5;
     StallCosts costs;
 };
+
+/**
+ * floor(pow(u, exp) * lines_d) for exp 3.0 or 1.5, decided without
+ * pow(): a = u*u*u or u*sqrt(u) is within about 2 ULP of u^exp, and
+ * glibc's pow() within 0.52 ULP, so pow(u, exp) lies strictly inside
+ * [a*(1-2^-48), a*(1+2^-48)]. Rounding is monotone, so when both ends
+ * of that bracket floor to the same index, so does pow(u, exp).
+ *
+ * @param u A draw in [0, 1).
+ * @param idx Set to that index when the bracket decides it.
+ * @return false when the bracket straddles an index boundary, or for
+ *         any other exponent; the caller must then use pow().
+ */
+inline bool
+hotSetIndexBracketed(double u, double exp, double lines_d,
+                     std::uint64_t &idx)
+{
+    double a;
+    if (exp == 3.0)
+        a = u * u * u;
+    else if (exp == 1.5)
+        a = u * std::sqrt(u);
+    else
+        return false;
+    const auto lo =
+        static_cast<std::uint64_t>(a * (1.0 - 0x1p-48) * lines_d);
+    const auto hi =
+        static_cast<std::uint64_t>(a * (1.0 + 0x1p-48) * lines_d);
+    idx = lo;
+    return lo == hi;
+}
+
+/**
+ * The hot-set sampler's line index: min(floor(pow(u, exp) * lines),
+ * lines - 1), bit-exact with calling pow() directly. exp == 1.0 uses u
+ * itself (IEEE pow(u, 1.0) == u); exp 3.0 and 1.5 almost always skip
+ * pow() through hotSetIndexBracketed().
+ *
+ * @param u A draw in [0, 1).
+ * @param lines Line count (>= 1); @p lines_d is the same as a double.
+ */
+inline std::uint64_t
+hotSetIndex(double u, double exp, std::uint64_t lines, double lines_d)
+{
+    std::uint64_t idx;
+    if (exp == 1.0)
+        idx = static_cast<std::uint64_t>(u * lines_d);
+    else if (!hotSetIndexBracketed(u, exp, lines_d, idx))
+        idx = static_cast<std::uint64_t>(std::pow(u, exp) * lines_d);
+    return std::min(idx, lines - 1);
+}
 
 /** Result of executing one WorkItem. */
 struct ExecResult
@@ -118,10 +171,9 @@ class CpuCore
 
     static RegionStream makeStream(Addr base, std::uint64_t bytes,
                                    std::uint64_t stride);
-    /** A sampled-line address within the stream, hot-skewed by @p exp.
-     *  @p linear short-circuits pow() when exp == 1.0 (bit-exact:
-     *  IEEE pow(u, 1.0) == u). */
-    Addr sampleStream(const RegionStream &s, double exp, bool linear,
+    /** A sampled-line address within the stream, hot-skewed by @p exp
+     *  (see hotSetIndex()). */
+    Addr sampleStream(const RegionStream &s, double exp,
                       std::uint64_t stride);
 
     double stallCyclesFor(const mem::AccessResult &res, bool is_code) const;
@@ -137,10 +189,6 @@ class CpuCore
     /** Fractional-sample carries to avoid rounding bias. */
     double dataCarry_ = 0.0;
     double codeCarry_ = 0.0;
-
-    /** Config-derived pow() bypass flags (exponent == 1.0 exactly). */
-    bool codeLinear_ = false;
-    bool dataLinear_ = false;
 };
 
 } // namespace odbsim::cpu

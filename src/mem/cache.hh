@@ -52,6 +52,9 @@ struct CacheAccessResult
 
 /**
  * Tag-store set-associative cache with true LRU.
+ *
+ * Victim choice on a miss: the highest-numbered invalid way if the set
+ * has one, else the least recently used way.
  */
 class SetAssocCache
 {
@@ -59,7 +62,8 @@ class SetAssocCache
     /**
      * @param name Label used in statistics reporting.
      * @param geom Capacity/associativity/line-size shape; sizeBytes
-     *        and assoc must be non-zero and consistent.
+     *        and assoc must be non-zero and consistent, assoc at most
+     *        255, and the line size and set count powers of two.
      */
     SetAssocCache(std::string name, const CacheGeometry &geom);
 
@@ -115,39 +119,52 @@ class SetAssocCache
 
   private:
     /**
-     * One tag-store entry, packed to 16 bytes: the tag shares a word
-     * with the valid/dirty flags (the tag is addr / lineBytes /
-     * numSets, so its top two bits are always free for realistic
-     * address spaces), halving the per-line footprint versus the
-     * naive {tag, clock, bool, bool} layout and keeping twice as many
-     * sets per hardware cache line during the victim scan.
+     * The tag store is a structure of arrays, each laid out set by set
+     * (set s owns entries [s * assoc, (s + 1) * assoc)):
+     *
+     *  - meta_: one word per way, tag << tagShift | dirtyBit? |
+     *    validBit?. The tag is addr >> (line shift + set shift), so
+     *    its top two bits are free for realistic address spaces, and
+     *    one compare against tag << tagShift | validBit (dirty masked
+     *    out) tests valid and tag together.
+     *  - rank_: one 8-bit recency rank per way, 0 = most recently
+     *    used. A set's ranks are always a permutation of 0..assoc-1;
+     *    touching way w moves every way ranked above it (a smaller
+     *    rank) down one place and puts w at rank 0. Ranks therefore
+     *    order the valid ways exactly as per-way last-touch
+     *    timestamps would: every valid way was touched at its fill,
+     *    and a touch preserves the relative order of all other ways.
      */
-    struct Line
+    static constexpr std::uint64_t validBit = 1;
+    static constexpr std::uint64_t dirtyBit = 2;
+    static constexpr unsigned tagShift = 2;
+
+    std::uint64_t
+    setIndex(Addr addr) const
     {
-        static constexpr std::uint64_t validBit = 1;
-        static constexpr std::uint64_t dirtyBit = 2;
-        static constexpr unsigned tagShift = 2;
-
-        /** tag << tagShift | dirtyBit? | validBit? */
-        std::uint64_t meta = 0;
-        /** True-LRU clock stamp of the last touch. */
-        std::uint64_t lastUse = 0;
-
-        bool valid() const { return meta & validBit; }
-        bool dirty() const { return meta & dirtyBit; }
-        Addr tag() const { return meta >> tagShift; }
-    };
-    static_assert(sizeof(Line) == 16, "tag-store entry must stay packed");
-
-    std::uint64_t setIndex(Addr addr) const;
-    Addr tagOf(Addr addr) const;
-    Addr lineAddr(Addr tag, std::uint64_t set) const;
+        return (addr >> lineShift_) & setMask_;
+    }
+    Addr tagOf(Addr addr) const { return addr >> tagAddrShift_; }
+    Addr
+    lineAddr(Addr tag, std::uint64_t set) const
+    {
+        return ((tag << setShift_) | set) << lineShift_;
+    }
+    /** The way of @p meta (one set) holding @p want, or assoc if none. */
+    std::uint32_t findWay(const std::uint64_t *meta,
+                          std::uint64_t want) const;
+    /** Make @p way the most recently used of its set's @p rank. */
+    void touch(std::uint8_t *rank, std::uint32_t way);
 
     std::string name_;
     CacheGeometry geom_;
-    std::uint64_t numSets_;
-    std::vector<Line> lines_;
-    std::uint64_t useClock_ = 0;
+    std::uint32_t assoc_;
+    unsigned lineShift_;
+    unsigned setShift_;
+    unsigned tagAddrShift_;
+    std::uint64_t setMask_;
+    std::vector<std::uint64_t> meta_;
+    std::vector<std::uint8_t> rank_;
     std::uint64_t valid_ = 0;
 
     std::uint64_t accesses_ = 0;

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+
 #include "cpu/core.hh"
+#include "sim/rng.hh"
 
 namespace
 {
@@ -247,5 +251,109 @@ TEST_P(CoreLinearityProperty, CyclesScaleWithInstructions)
 
 INSTANTIATE_TEST_SUITE_P(Sizes, CoreLinearityProperty,
                          ::testing::Values(1000, 10000, 100000, 1000000));
+
+/** The sampler's index computed with pow(), as before its bypass. */
+std::uint64_t
+powHotSetIndex(double u, double exp, std::uint64_t lines)
+{
+    const auto idx = static_cast<std::uint64_t>(
+        std::pow(u, exp) * static_cast<double>(lines));
+    return std::min(idx, lines - 1);
+}
+
+/** A line count drawn log-uniformly from [1, 2^24]. */
+std::uint64_t
+drawLines(Rng &rng)
+{
+    return 1 + rng.below(std::uint64_t{1} << rng.below(25));
+}
+
+TEST(HotSetIndex, MatchesPowOnUniformDraws)
+{
+    Rng rng(42);
+    for (const double exp : {1.5, 3.0}) {
+        std::uint64_t mismatches = 0, fallbacks = 0;
+        for (int i = 0; i < 10'000'000; ++i) {
+            const double u = rng.uniform();
+            const std::uint64_t lines = drawLines(rng);
+            const auto lines_d = static_cast<double>(lines);
+            std::uint64_t idx;
+            fallbacks += !hotSetIndexBracketed(u, exp, lines_d, idx);
+            const std::uint64_t got = hotSetIndex(u, exp, lines, lines_d);
+            const std::uint64_t want = powHotSetIndex(u, exp, lines);
+            if (got != want && mismatches++ == 0)
+                ADD_FAILURE() << "exp " << exp << " u " << u << " lines "
+                              << lines << ": " << got << " != " << want;
+        }
+        EXPECT_EQ(mismatches, 0u) << "exp " << exp;
+        // The bracket almost always decides without pow().
+        EXPECT_LT(fallbacks, 100u) << "exp " << exp;
+    }
+}
+
+TEST(HotSetIndex, IndexBoundariesFallBackToPowAndMatch)
+{
+    Rng rng(7);
+    for (const double exp : {1.5, 3.0}) {
+        for (int trial = 0; trial < 5000; ++trial) {
+            const std::uint64_t lines = 1 + drawLines(rng);
+            const auto lines_d = static_cast<double>(lines);
+            const std::uint64_t k = 1 + rng.below(lines - 1);
+            // Bisect over bit patterns for the adjacent doubles u0 < u1
+            // where pow(u, exp) * lines crosses k.
+            std::uint64_t lo = 0, hi = std::bit_cast<std::uint64_t>(1.0);
+            while (hi - lo > 1) {
+                const std::uint64_t mid = lo + (hi - lo) / 2;
+                const double u = std::bit_cast<double>(mid);
+                if (std::pow(u, exp) * lines_d >= static_cast<double>(k))
+                    hi = mid;
+                else
+                    lo = mid;
+            }
+            ASSERT_LT(powHotSetIndex(std::bit_cast<double>(lo), exp, lines),
+                      k);
+            ASSERT_GE(powHotSetIndex(std::bit_cast<double>(hi), exp, lines),
+                      k);
+            for (std::uint64_t b = lo - 8; b <= hi + 8; ++b) {
+                const double u = std::bit_cast<double>(b);
+                std::uint64_t idx;
+                const bool bracketed =
+                    hotSetIndexBracketed(u, exp, lines_d, idx);
+                // Both sides of the crossing lie within a few ULP of
+                // k / lines, inside the bracket's 2^-48 width.
+                if (b == lo || b == hi) {
+                    ASSERT_FALSE(bracketed)
+                        << "exp " << exp << " lines " << lines << " k "
+                        << k << " u " << u;
+                }
+                ASSERT_EQ(hotSetIndex(u, exp, lines, lines_d),
+                          powHotSetIndex(u, exp, lines))
+                    << "exp " << exp << " lines " << lines << " k " << k
+                    << " u " << u;
+            }
+        }
+    }
+}
+
+TEST(HotSetIndex, OtherExponentsUsePow)
+{
+    Rng rng(3);
+    for (const double exp : {1.0, 2.0, 0.5}) {
+        for (int i = 0; i < 100000; ++i) {
+            const double u = rng.uniform();
+            const std::uint64_t lines = drawLines(rng);
+            const auto lines_d = static_cast<double>(lines);
+            std::uint64_t idx;
+            ASSERT_FALSE(hotSetIndexBracketed(u, exp, lines_d, idx));
+            ASSERT_EQ(hotSetIndex(u, exp, lines, lines_d),
+                      powHotSetIndex(u, exp, lines));
+        }
+    }
+    // pow(u, 0.25) rounds up to 1.0 for the largest draw below 1, so the
+    // index must clamp to the last line.
+    const double top = std::nextafter(1.0, 0.0);
+    EXPECT_EQ(std::pow(top, 0.25), 1.0);
+    EXPECT_EQ(hotSetIndex(top, 0.25, 7, 7.0), 6u);
+}
 
 } // namespace
