@@ -34,20 +34,12 @@ bool g_profile = []() {
 /** Engine shard count (--shards / ODBSIM_SHARDS). */
 unsigned g_shards = 1;
 
-/** Event-queue kind; seeded from ODBSIM_EVENT_QUEUE. */
-EventQueueKind g_eq_kind = []() {
-    const char *env = std::getenv("ODBSIM_EVENT_QUEUE");
-    if (env && std::strcmp(env, "heap") == 0)
-        return EventQueueKind::heap;
-    return EventQueueKind::wheel;
-}();
+/** Event-queue kind (--event-queue / ODBSIM_EVENT_QUEUE). */
+EventQueueKind g_eq_kind = EventQueueKind::wheel;
 
 /** Intra-run replay worker threads (--replay-threads /
  *  ODBSIM_REPLAY_THREADS). */
 unsigned g_replay_threads = 1;
-
-/** DES worker threads (--des-threads / ODBSIM_DES_THREADS). */
-unsigned g_des_threads = 1;
 
 /** Largest accepted thread-count knob (0 still means "one per
  *  hardware thread"). */
@@ -102,6 +94,16 @@ unsigned
 parseShards(const char *knob, const char *text)
 {
     return parseCount(knob, text, 1, maxShards, true);
+}
+
+EventQueueKind
+parseEventQueue(const char *knob, const char *text)
+{
+    if (std::strcmp(text, "wheel") == 0)
+        return EventQueueKind::wheel;
+    if (std::strcmp(text, "heap") == 0)
+        return EventQueueKind::heap;
+    rejectKnob(knob, text, "expected wheel or heap");
 }
 
 /** Study-cache CSV directory; resolution order is --csv-dir >
@@ -177,42 +179,28 @@ parseArgs(int argc, char **argv)
         g_shards = parseShards("ODBSIM_SHARDS", env);
     if (const char *env = std::getenv("ODBSIM_REPLAY_THREADS"))
         g_replay_threads = parseThreads("ODBSIM_REPLAY_THREADS", env);
-    if (const char *env = std::getenv("ODBSIM_DES_THREADS"))
-        g_des_threads = parseThreads("ODBSIM_DES_THREADS", env);
+    if (const char *env = std::getenv("ODBSIM_EVENT_QUEUE"))
+        g_eq_kind = parseEventQueue("ODBSIM_EVENT_QUEUE", env);
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        const auto countValue = [&]() -> const char * {
+        const auto value = [&]() -> const char * {
             if (i + 1 >= argc)
                 rejectKnob(arg, "", "missing value");
             return argv[++i];
         };
         if (std::strcmp(arg, "--jobs") == 0 || std::strcmp(arg, "-j") == 0) {
-            g_jobs = parseThreads(arg, countValue());
+            g_jobs = parseThreads(arg, value());
         } else if (std::strcmp(arg, "--profile") == 0) {
             g_profile = true;
         } else if (std::strcmp(arg, "--shards") == 0) {
-            g_shards = parseShards(arg, countValue());
-        } else if (std::strcmp(arg, "--event-queue") == 0 &&
-                   i + 1 < argc) {
-            const char *kind = argv[++i];
-            if (std::strcmp(kind, "heap") == 0) {
-                g_eq_kind = EventQueueKind::heap;
-            } else if (std::strcmp(kind, "wheel") == 0) {
-                g_eq_kind = EventQueueKind::wheel;
-            } else {
-                std::fprintf(stderr,
-                             "[bench] unknown --event-queue '%s' "
-                             "(expected wheel|heap)\n",
-                             kind);
-            }
+            g_shards = parseShards(arg, value());
+        } else if (std::strcmp(arg, "--event-queue") == 0) {
+            g_eq_kind = parseEventQueue(arg, value());
         } else if (std::strcmp(arg, "--replay-threads") == 0) {
-            g_replay_threads = parseThreads(arg, countValue());
-        } else if (std::strcmp(arg, "--des-threads") == 0) {
-            g_des_threads = parseThreads(arg, countValue());
-        } else if (std::strcmp(arg, "--csv-dir") == 0 &&
-                   i + 1 < argc) {
-            g_csv_dir = argv[++i];
+            g_replay_threads = parseThreads(arg, value());
+        } else if (std::strcmp(arg, "--csv-dir") == 0) {
+            g_csv_dir = value();
         }
     }
     // No explicit directory anywhere: default to the directory holding
@@ -256,12 +244,6 @@ replayThreads()
     return g_replay_threads;
 }
 
-unsigned
-desThreads()
-{
-    return g_des_threads;
-}
-
 const std::string &
 csvDir()
 {
@@ -274,11 +256,10 @@ applyEngineKnobs(core::RunKnobs &knobs)
 {
     knobs.dbShards = g_shards;
     knobs.eventQueue = g_eq_kind;
-    // Host-execution knobs, not engine knobs: any value produces
-    // bit-identical metrics (like --jobs), so they deliberately do not
+    // A host-execution knob, not an engine knob: any value produces
+    // bit-identical metrics (like --jobs), so it deliberately does not
     // join the cache-bypass predicate in sharedStudy() below.
     knobs.replayThreads = g_replay_threads;
-    knobs.desThreads = g_des_threads;
 }
 
 void

@@ -42,12 +42,6 @@ std::vector<unsigned> figureWarehouseGrid();
  *    instant-warm prefill; 1 = serial default, 0 = one per hardware
  *    thread). A host-execution knob like `--jobs`: metrics are
  *    bit-identical at any value, so it does not bypass the CSV cache;
- *  - `--des-threads N` (env `ODBSIM_DES_THREADS`): DES worker threads
- *    for the conservative parallel event engine (island-per-thread;
- *    1 = serial default, 0 = one per hardware thread). A
- *    host-execution knob like `--jobs` and `--replay-threads`:
- *    metrics are bit-identical at any value, so it does not bypass
- *    the CSV cache;
  *  - `--csv-dir DIR` (env `ODBSIM_CSV_DIR`; legacy `ODBSIM_CACHE_DIR`
  *    still honoured): directory for the shared study-cache CSVs (and
  *    their profile sidecars). Defaults to the directory holding the
@@ -55,13 +49,13 @@ std::vector<unsigned> figureWarehouseGrid();
  *    source tree or whatever directory the bench was invoked from.
  *
  * Flags win over the environment. Unknown arguments are ignored so
- * bench-specific flags can coexist. The count knobs (`--jobs`,
- * `--shards`, `--replay-threads`, `--des-threads` and their
- * environment variables) are validated here: a value that is not plain
- * decimal digits, is out of range ([0, 1024] threads, [1, 256] shards),
- * is missing, or is a shard count that is not a power of two exits
- * with status 2 and a message naming the knob, before any simulation
- * starts. Results are seed-deterministic
+ * bench-specific flags can coexist. The valued knobs are validated
+ * here: a missing value, a count (`--jobs`, `--shards`,
+ * `--replay-threads` and their environment variables) that is not
+ * plain decimal digits, is out of range ([0, 1024] threads, [1, 256]
+ * shards) or is a shard count that is not a power of two, or an event
+ * queue other than `wheel` or `heap` exits with status 2 and a message
+ * naming the knob, before any simulation starts. Results are seed-deterministic
  * regardless of the job count (profiling only observes, never
  * perturbs, the simulation). Studies measured with non-default
  * engine knobs bypass the shared CSV cache so the committed goldens
@@ -84,10 +78,6 @@ EventQueueKind eventQueueKind();
 /** Replay-side worker threads selected by
  *  --replay-threads/ODBSIM_REPLAY_THREADS (default 1). */
 unsigned replayThreads();
-
-/** DES worker threads selected by --des-threads/ODBSIM_DES_THREADS
- *  (default 1). */
-unsigned desThreads();
 
 /** Study-cache CSV directory selected by --csv-dir/ODBSIM_CSV_DIR
  *  (default: the directory holding the bench binary). */

@@ -6,11 +6,11 @@
 # speedup gates and cross-checks the flat directory against the legacy
 # implementation), then regenerates both scaling-study CSVs into
 # scratch caches — once serially, once with the parallel
-# longest-first scheduler (--jobs 0), once with --des-threads 4 (the
-# conservative parallel DES engine), and once with --jobs 3
-# --replay-threads 2 --des-threads 4 (every host-execution knob at
-# once must be invisible in the output) — and diffs every
-# regeneration against the goldens committed at the repo root.
+# longest-first scheduler (--jobs 0), and once with --jobs 3
+# --replay-threads 2 (both host-execution knobs at once must be
+# invisible in the output) — and diffs every regeneration against the
+# references committed in tests/golden/. A missing reference fails
+# the script.
 #
 # Every bench invocation pins ODBSIM_CSV_DIR to a scratch directory
 # (removed on exit), so the script never leaves stray study CSVs in
@@ -55,26 +55,19 @@ fi
 
 status=0
 check_goldens() {
-    local cache_dir="$1" label="$2"
-    for golden in odbsim_study_xeon-quad-mp.csv odbsim_study_itanium2-quad.csv; do
-        if [ ! -f "$repo_root/$golden" ]; then
-            # The goldens are generated artifacts (gitignored): a fresh
-            # checkout seeds them from the first serial regeneration;
-            # every later regeneration — including the parallel one in
-            # this very run — is diffed against that seed.
-            if [ "$label" = "serial" ]; then
-                cp "$cache_dir/$golden" "$repo_root/$golden"
-                echo "SEED $golden was absent; seeded from the serial regeneration"
-            else
-                echo "FAIL $golden absent and not seedable from the $label run" >&2
-                status=1
-            fi
-            continue
-        fi
-        if diff -q "$repo_root/$golden" "$cache_dir/$golden" > /dev/null; then
-            echo "OK  $golden is bit-identical ($label)"
+    local cache_dir="$1" label="$2" machine golden csv
+    for machine in xeon-quad-mp itanium2-quad; do
+        golden="$repo_root/tests/golden/$machine.csv"
+        csv="$cache_dir/odbsim_study_$machine.csv"
+        if [ ! -f "$golden" ]; then
+            echo "FAIL reference $golden is missing" >&2
+            status=1
+        elif cmp -s "$golden" "$csv"; then
+            echo "OK  $machine study: 0 bytes differ from tests/golden ($label)"
         else
-            echo "FAIL $golden differs from golden ($label)" >&2
+            echo "FAIL $machine study: $(cmp -l "$golden" "$csv" 2>/dev/null | wc -l)" \
+                "bytes differ from tests/golden ($label; sizes" \
+                "$(wc -c < "$golden") vs $(wc -c < "$csv"))" >&2
             status=1
         fi
     done
@@ -93,31 +86,17 @@ ODBSIM_CSV_DIR="$cache_parallel" "$build_dir/bench/bench_fig09_cpi" -j 0 > /dev/
 ODBSIM_CSV_DIR="$cache_parallel" "$build_dir/bench/bench_fig19_itanium2" -j 0 > /dev/null
 check_goldens "$cache_parallel" "parallel"
 
-echo "== regenerate study CSVs with a cold cache (--des-threads 4) =="
-# The conservative parallel DES engine is a host-execution knob: the
-# committed goldens must come out byte-exact at any worker count
-# (--des-threads deliberately does not bypass the CSV cache — see
-# EXPERIMENTS.md).
-cache_des="$(mktemp -d)"
-trap 'rm -rf "$cache_serial" "$cache_parallel" "$cache_des"' EXIT
-ODBSIM_CSV_DIR="$cache_des" "$build_dir/bench/bench_fig09_cpi" \
-    --des-threads 4 > /dev/null
-ODBSIM_CSV_DIR="$cache_des" "$build_dir/bench/bench_fig19_itanium2" \
-    --des-threads 4 > /dev/null
-check_goldens "$cache_des" "des-threads4"
-
-echo "== regenerate study CSVs with a cold cache (--jobs 3 --replay-threads 2 --des-threads 4) =="
-# Every host-execution knob at once: odd study worker count, intra-run
-# replay threads, and the parallel DES engine. The goldens must still
-# come out byte-exact (none of these knobs bypasses the CSV cache —
-# see EXPERIMENTS.md).
+echo "== regenerate study CSVs with a cold cache (--jobs 3 --replay-threads 2) =="
+# Both host-execution knobs at once: an odd study worker count and
+# intra-run replay threads. The studies must still come out byte-exact
+# (neither knob bypasses the CSV cache — see EXPERIMENTS.md).
 cache_replay="$(mktemp -d)"
-trap 'rm -rf "$cache_serial" "$cache_parallel" "$cache_des" "$cache_replay"' EXIT
+trap 'rm -rf "$cache_serial" "$cache_parallel" "$cache_replay"' EXIT
 ODBSIM_CSV_DIR="$cache_replay" "$build_dir/bench/bench_fig09_cpi" \
-    --jobs 3 --replay-threads 2 --des-threads 4 > /dev/null
+    --jobs 3 --replay-threads 2 > /dev/null
 ODBSIM_CSV_DIR="$cache_replay" "$build_dir/bench/bench_fig19_itanium2" \
-    --jobs 3 --replay-threads 2 --des-threads 4 > /dev/null
-check_goldens "$cache_replay" "jobs3+replay2+des4"
+    --jobs 3 --replay-threads 2 > /dev/null
+check_goldens "$cache_replay" "jobs3+replay2"
 
 echo "== islands deployment sweep (serial vs --jobs 0 must be bit-identical) =="
 # The sweep self-checks its crossover physics (exit 3 on failure); the

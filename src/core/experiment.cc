@@ -36,7 +36,6 @@ ExperimentRunner::runWithPreset(const MachinePreset &preset,
     os::SystemConfig syscfg = preset.sys;
     syscfg.faults = knobs.faults;
     syscfg.eventQueue = knobs.eventQueue;
-    syscfg.desThreads = knobs.desThreads;
     os::System sys(syscfg);
 
     db::DatabaseConfig dbcfg;

@@ -103,18 +103,7 @@ struct RunKnobs
      * scripts/bench_smoke.sh's --replay-threads byte-diff).
      */
     unsigned replayThreads = 1;
-    /**
-     * Host worker threads for the conservative parallel DES engine
-     * (sim::ParallelEngine) when the deployment has multiple islands;
-     * 1 (default) advances islands serially, 0 = one worker per
-     * hardware thread. Every paper grid point is a single coherence
-     * domain — one island — where the engine degenerates to the plain
-     * serial event queue, so this is a *host-execution* knob like
-     * @ref replayThreads: results and the golden study CSVs are
-     * bit-identical at any value (enforced by bench_smoke.sh's
-     * --des-threads byte-diff and the des_determinism_contract test)
-     * and it does not bypass the study CSV caches.
-     */
+    /** No effect; kept only because perfbench/staged.cc assigns it. */
     unsigned desThreads = 1;
 };
 

@@ -4,11 +4,6 @@
 
 #include <chrono>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace odbsim
 {
 
@@ -19,24 +14,6 @@ namespace
 // for nested submission (local-deque push, inline help).
 thread_local ThreadPool *tlPool = nullptr;
 thread_local unsigned tlWorker = 0;
-
-void
-pinThreadToCpu(unsigned cpu)
-{
-#if defined(__linux__)
-    unsigned ncpu = std::thread::hardware_concurrency();
-    if (ncpu == 0)
-        return;
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(cpu % ncpu, &set);
-    // Best effort: a failure (e.g. restricted cpuset) just leaves the
-    // thread unpinned.
-    pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-    (void)cpu;
-#endif
-}
 
 } // namespace
 
@@ -137,9 +114,8 @@ ThreadPool::current()
     return tlPool;
 }
 
-ThreadPool::ThreadPool(const ThreadPoolConfig &cfg) : cfg_(cfg)
+ThreadPool::ThreadPool(unsigned threads)
 {
-    unsigned threads = cfg.threads;
     if (threads == 0) {
         threads = std::thread::hardware_concurrency();
         if (threads == 0)
@@ -188,7 +164,7 @@ ThreadPool::signalWork(bool all)
 }
 
 void
-ThreadPool::submitTask(Task *t, TaskPriority prio)
+ThreadPool::submitTask(Task *t)
 {
     if (tlPool == this) {
         // Nested submission: LIFO-push onto the submitting worker's
@@ -203,10 +179,7 @@ ThreadPool::submitTask(Task *t, TaskPriority prio)
             delete t;
             odbsim_fatal("ThreadPool: submit after shutdown");
         }
-        if (prio == TaskPriority::High)
-            injHigh_.push_back(t);
-        else
-            injNormal_.push_back(t);
+        injection_.push_back(t);
         ++wakeEpoch_;
     }
     cv_.notify_one();
@@ -215,17 +188,11 @@ ThreadPool::submitTask(Task *t, TaskPriority prio)
 ThreadPool::Task *
 ThreadPool::popInjectionLocked()
 {
-    if (!injHigh_.empty()) {
-        Task *t = injHigh_.front();
-        injHigh_.pop_front();
-        return t;
-    }
-    if (!injNormal_.empty()) {
-        Task *t = injNormal_.front();
-        injNormal_.pop_front();
-        return t;
-    }
-    return nullptr;
+    if (injection_.empty())
+        return nullptr;
+    Task *t = injection_.front();
+    injection_.pop_front();
+    return t;
 }
 
 ThreadPool::Task *
@@ -234,7 +201,7 @@ ThreadPool::findTask(unsigned self)
     // 1. Own deque, newest first (cache-warm, nested jobs drain fast).
     if (Task *t = deques_[self]->pop())
         return t;
-    // 2. Injection queue, High before Normal.
+    // 2. Injection queue, oldest first.
     {
         std::lock_guard<std::mutex> lock(injMutex_);
         if (Task *t = popInjectionLocked())
@@ -327,7 +294,7 @@ ThreadPool::parallelForImpl(std::size_t n,
             if (stop_)
                 odbsim_fatal("ThreadPool: parallelFor after shutdown");
             for (std::size_t r = 0; r < spawn; ++r)
-                injNormal_.push_back(new Task([st] { tlPool->runLoop(st); }));
+                injection_.push_back(new Task([st] { tlPool->runLoop(st); }));
             ++wakeEpoch_;
         }
         cv_.notify_all();
@@ -344,8 +311,6 @@ ThreadPool::workerLoop(unsigned id)
 {
     tlPool = this;
     tlWorker = id;
-    if (cfg_.pinThreads)
-        pinThreadToCpu(id);
 
     for (;;) {
         if (Task *t = findTask(id)) {

@@ -2,7 +2,8 @@
  * @file
  * A work-stealing worker pool for running independent host-side tasks —
  * the execution engine behind parallel scaling studies and intra-point
- * parallelism (per-seed repeat replicas, host-parallel shard replay).
+ * parallelism (per-seed repeat replicas, the sharded instant-warm
+ * prefill).
  * The simulator itself stays single-threaded and deterministic; the
  * pool only ever runs *self-contained* jobs concurrently, never parts
  * of one simulation's event loop.
@@ -13,17 +14,14 @@
  *    the top (FIFO, oldest first). All index/cell accesses are C++
  *    atomics (no standalone fences), so the implementation is exactly
  *    as TSan models it.
- *  - External submit() lands in a global injection queue (two bands:
- *    TaskPriority::High drains before Normal); workers prefer their
- *    local deque, then injection, then stealing.
+ *  - External submit() lands in a global FIFO injection queue;
+ *    workers prefer their local deque, then injection, then stealing.
  *  - Nested submission: a task already running on a worker may call
  *    parallelFor() on its own pool without deadlock. The calling
  *    worker claims loop indices inline and then *helps* — draining its
  *    deque, the injection queue, and stealing from peers — until the
  *    nested job completes. External callers block on a condition
  *    variable instead.
- *  - Optional CPU-affinity pinning (ThreadPoolConfig::pinThreads) pins
- *    worker i to cpu i mod hardware_concurrency on Linux.
  *
  * Determinism contract (unchanged from pool v1): tasks must not share
  * mutable state (each ExperimentRunner::run call builds its own
@@ -57,18 +55,6 @@
 namespace odbsim
 {
 
-/** Scheduling band for externally submitted tasks. */
-enum class TaskPriority { Normal, High };
-
-/** Construction options for ThreadPool. */
-struct ThreadPoolConfig
-{
-    /** Worker count; 0 selects hardware_concurrency() (at least 1). */
-    unsigned threads = 0;
-    /** Pin worker i to cpu (i mod ncpu); Linux only, best effort. */
-    bool pinThreads = false;
-};
-
 /**
  * Work-stealing thread pool.
  *
@@ -87,13 +73,7 @@ class ThreadPool
      * @param threads Worker count; 0 selects
      *        std::thread::hardware_concurrency() (at least 1).
      */
-    explicit ThreadPool(unsigned threads = 0)
-        : ThreadPool(ThreadPoolConfig{threads, false})
-    {
-    }
-
-    /** Start workers per @p cfg (count, pinning). */
-    explicit ThreadPool(const ThreadPoolConfig &cfg);
+    explicit ThreadPool(unsigned threads = 0);
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
@@ -114,8 +94,8 @@ class ThreadPool
     /**
      * The pool whose worker is executing the calling thread's current
      * task, or nullptr if the caller is not a pool worker. Lets nested
-     * code (repeatRun, host-parallel replay) fan out on the pool it is
-     * already running on instead of spawning a transient pool.
+     * code (repeatRun, the instant-warm prefill) fan out on the pool it
+     * is already running on instead of spawning a transient pool.
      */
     static ThreadPool *current();
 
@@ -123,7 +103,7 @@ class ThreadPool
      * Enqueue @p fn for execution on a worker.
      *
      * Called from outside the pool, the task lands in the global
-     * injection queue in the given priority band; called from a worker
+     * injection queue; called from a worker
      * of this pool, it is pushed onto that worker's local deque (LIFO)
      * where peers can steal it.
      *
@@ -132,23 +112,14 @@ class ThreadPool
      */
     template <typename F>
     auto
-    submit(TaskPriority prio, F &&fn)
-        -> std::future<std::invoke_result_t<std::decay_t<F>>>
+    submit(F &&fn) -> std::future<std::invoke_result_t<std::decay_t<F>>>
     {
         using Ret = std::invoke_result_t<std::decay_t<F>>;
         auto task = std::make_shared<std::packaged_task<Ret()>>(
             std::forward<F>(fn));
         std::future<Ret> result = task->get_future();
-        submitTask(new Task([task] { (*task)(); }), prio);
+        submitTask(new Task([task] { (*task)(); }));
         return result;
-    }
-
-    /** submit() at TaskPriority::Normal. */
-    template <typename F>
-    auto
-    submit(F &&fn) -> std::future<std::invoke_result_t<std::decay_t<F>>>
-    {
-        return submit(TaskPriority::Normal, std::forward<F>(fn));
     }
 
     /**
@@ -234,7 +205,7 @@ class ThreadPool
     };
 
     void parallelForImpl(std::size_t n, std::function<void(std::size_t)> fn);
-    void submitTask(Task *t, TaskPriority prio);
+    void submitTask(Task *t);
     void signalWork(bool all);
     Task *findTask(unsigned self);
     Task *popInjectionLocked();
@@ -243,14 +214,12 @@ class ThreadPool
     void helpUntilDone(const std::shared_ptr<ForState> &st, unsigned self);
     void workerLoop(unsigned id);
 
-    ThreadPoolConfig cfg_;
     std::vector<std::unique_ptr<StealDeque>> deques_;
     std::vector<std::thread> workers_;
 
     std::mutex injMutex_;
     std::condition_variable cv_;
-    std::deque<Task *> injHigh_;
-    std::deque<Task *> injNormal_;
+    std::deque<Task *> injection_;
     std::uint64_t wakeEpoch_ = 0;
     bool stop_ = false;
     bool joined_ = false;

@@ -10,8 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <condition_variable>
-#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -209,55 +207,6 @@ TEST(ThreadPool, CollectByIndexIsIdenticalAcrossPoolSizes)
         pool.parallelFor(n, [&](std::size_t i) { got[i] = mixIndex(i); });
         EXPECT_EQ(got, ref) << "threads=" << threads;
     }
-}
-
-TEST(ThreadPool, HighPriorityOvertakesNormalInjection)
-{
-    ThreadPool pool(1);
-    std::mutex m;
-    std::condition_variable cv;
-    bool release = false;
-    // Park the single worker so both submissions wait in the injection
-    // queues together; the High task must be dispatched first.
-    auto gate = pool.submit([&] {
-        std::unique_lock<std::mutex> lock(m);
-        cv.wait(lock, [&] { return release; });
-    });
-    std::mutex om;
-    std::vector<int> order;
-    auto normal = pool.submit(TaskPriority::Normal, [&] {
-        std::lock_guard<std::mutex> g(om);
-        order.push_back(0);
-    });
-    auto high = pool.submit(TaskPriority::High, [&] {
-        std::lock_guard<std::mutex> g(om);
-        order.push_back(1);
-    });
-    {
-        std::lock_guard<std::mutex> lock(m);
-        release = true;
-    }
-    cv.notify_all();
-    gate.get();
-    normal.get();
-    high.get();
-    ASSERT_EQ(order.size(), 2u);
-    EXPECT_EQ(order[0], 1);
-    EXPECT_EQ(order[1], 0);
-}
-
-TEST(ThreadPool, PinnedPoolRunsToCompletion)
-{
-    // Affinity is best-effort (and a no-op where unsupported); it must
-    // never change what executes.
-    ThreadPoolConfig cfg;
-    cfg.threads = 2;
-    cfg.pinThreads = true;
-    ThreadPool pool(cfg);
-    std::vector<int> hits(64, 0);
-    pool.parallelFor(64, [&](std::size_t i) { hits[i] = 1; });
-    EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 64);
-    EXPECT_EQ(pool.submit([] { return 3; }).get(), 3);
 }
 
 TEST(ThreadPool, ChurnThousandsOfRoundsStaysCoherent)
