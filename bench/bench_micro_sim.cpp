@@ -128,11 +128,11 @@ BENCHMARK(BM_RngNext);
 int
 main(int argc, char **argv)
 {
-    // Shared bench knobs first (--jobs/--shards/... are not google-
-    // benchmark flags, so they must be consumed before Initialize —
-    // and unrecognized leftovers are tolerated, not fatal).
-    odbsim::bench::parseArgs(argc, argv);
+    // google-benchmark first: Initialize consumes its --benchmark_*
+    // flags from argv, so the shared parser sees only what is left and
+    // rejects any other unknown flag.
     benchmark::Initialize(&argc, argv);
+    odbsim::bench::parseArgs(argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     return 0;

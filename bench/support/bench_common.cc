@@ -2,6 +2,7 @@
 
 #include "core/study_io.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
@@ -31,21 +32,9 @@ bool g_profile = []() {
     return env && *env && std::strcmp(env, "0") != 0;
 }();
 
-/** Engine shard count (--shards / ODBSIM_SHARDS). */
-unsigned g_shards = 1;
-
-/** Event-queue kind (--event-queue / ODBSIM_EVENT_QUEUE). */
-EventQueueKind g_eq_kind = EventQueueKind::wheel;
-
-/** Intra-run replay worker threads (--replay-threads /
- *  ODBSIM_REPLAY_THREADS). */
-unsigned g_replay_threads = 1;
-
 /** Largest accepted thread-count knob (0 still means "one per
  *  hardware thread"). */
 constexpr unsigned maxThreads = 1024;
-/** Largest shard count the lock manager and buffer cache accept. */
-constexpr unsigned maxShards = 256;
 
 /** Report an invalid knob value and exit with status 2. */
 [[noreturn]] void
@@ -57,14 +46,12 @@ rejectKnob(const char *knob, const char *text, const char *why)
 }
 
 /**
- * Parse @p text as the value of thread-count or shard knob @p knob:
- * plain decimal digits only (no sign, whitespace or suffix), in
- * [@p lo, @p hi], and a power of two when @p pow2 is set. Anything
- * else ends the process through rejectKnob().
+ * Parse @p text as the value of thread-count knob @p knob: plain
+ * decimal digits only (no sign, whitespace or suffix), in
+ * [0, maxThreads]. Anything else ends the process through rejectKnob().
  */
 unsigned
-parseCount(const char *knob, const char *text, unsigned lo, unsigned hi,
-           bool pow2 = false)
+parseThreads(const char *knob, const char *text)
 {
     bool digits = *text != '\0';
     for (const char *c = text; *c && digits; ++c)
@@ -73,37 +60,13 @@ parseCount(const char *knob, const char *text, unsigned lo, unsigned hi,
         rejectKnob(knob, text, "expected a non-negative integer");
     errno = 0;
     const unsigned long long v = std::strtoull(text, nullptr, 10);
-    if (errno == ERANGE || v < lo || v > hi) {
+    if (errno == ERANGE || v > maxThreads) {
         char why[64];
-        std::snprintf(why, sizeof why, "expected an integer in [%u, %u]",
-                      lo, hi);
+        std::snprintf(why, sizeof why, "expected an integer in [0, %u]",
+                      maxThreads);
         rejectKnob(knob, text, why);
     }
-    if (pow2 && (v & (v - 1)) != 0)
-        rejectKnob(knob, text, "expected a power of two");
     return static_cast<unsigned>(v);
-}
-
-unsigned
-parseThreads(const char *knob, const char *text)
-{
-    return parseCount(knob, text, 0, maxThreads);
-}
-
-unsigned
-parseShards(const char *knob, const char *text)
-{
-    return parseCount(knob, text, 1, maxShards, true);
-}
-
-EventQueueKind
-parseEventQueue(const char *knob, const char *text)
-{
-    if (std::strcmp(text, "wheel") == 0)
-        return EventQueueKind::wheel;
-    if (std::strcmp(text, "heap") == 0)
-        return EventQueueKind::heap;
-    rejectKnob(knob, text, "expected wheel or heap");
 }
 
 /** Study-cache CSV directory; resolution order is --csv-dir >
@@ -170,17 +133,11 @@ costHintFromProfile(const std::string &study_path)
 } // namespace
 
 void
-parseArgs(int argc, char **argv)
+parseArgs(int argc, char **argv, std::initializer_list<const char *> own)
 {
     // Environment first, so the flags below override it.
     if (const char *env = std::getenv("ODBSIM_JOBS"))
         g_jobs = parseThreads("ODBSIM_JOBS", env);
-    if (const char *env = std::getenv("ODBSIM_SHARDS"))
-        g_shards = parseShards("ODBSIM_SHARDS", env);
-    if (const char *env = std::getenv("ODBSIM_REPLAY_THREADS"))
-        g_replay_threads = parseThreads("ODBSIM_REPLAY_THREADS", env);
-    if (const char *env = std::getenv("ODBSIM_EVENT_QUEUE"))
-        g_eq_kind = parseEventQueue("ODBSIM_EVENT_QUEUE", env);
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -193,14 +150,14 @@ parseArgs(int argc, char **argv)
             g_jobs = parseThreads(arg, value());
         } else if (std::strcmp(arg, "--profile") == 0) {
             g_profile = true;
-        } else if (std::strcmp(arg, "--shards") == 0) {
-            g_shards = parseShards(arg, value());
-        } else if (std::strcmp(arg, "--event-queue") == 0) {
-            g_eq_kind = parseEventQueue(arg, value());
-        } else if (std::strcmp(arg, "--replay-threads") == 0) {
-            g_replay_threads = parseThreads(arg, value());
         } else if (std::strcmp(arg, "--csv-dir") == 0) {
             g_csv_dir = value();
+        } else if (std::strncmp(arg, "--", 2) == 0 &&
+                   std::none_of(own.begin(), own.end(),
+                                [arg](const char *flag) {
+                                    return std::strcmp(arg, flag) == 0;
+                                })) {
+            rejectKnob(arg, "", "unknown flag");
         }
     }
     // No explicit directory anywhere: default to the directory holding
@@ -226,40 +183,11 @@ profileEnabled()
     return g_profile;
 }
 
-unsigned
-dbShards()
-{
-    return g_shards;
-}
-
-EventQueueKind
-eventQueueKind()
-{
-    return g_eq_kind;
-}
-
-unsigned
-replayThreads()
-{
-    return g_replay_threads;
-}
-
 const std::string &
 csvDir()
 {
     static const std::string dot = ".";
     return g_csv_dir.empty() ? dot : g_csv_dir;
-}
-
-void
-applyEngineKnobs(core::RunKnobs &knobs)
-{
-    knobs.dbShards = g_shards;
-    knobs.eventQueue = g_eq_kind;
-    // A host-execution knob, not an engine knob: any value produces
-    // bit-identical metrics (like --jobs), so it deliberately does not
-    // join the cache-bypass predicate in sharedStudy() below.
-    knobs.replayThreads = g_replay_threads;
 }
 
 void
@@ -278,13 +206,7 @@ core::StudyResult
 sharedStudy(core::MachineKind machine)
 {
     const std::string path = cachePath(machine);
-    // Non-default engine knobs must never read or write the shared
-    // cache: the committed goldens are defined by the K=1 / wheel
-    // configuration (bit-identical to the pre-shard engine).
-    const bool default_engine =
-        g_shards == 1 && g_eq_kind == EventQueueKind::wheel;
-    const bool no_cache =
-        std::getenv("ODBSIM_NO_CACHE") != nullptr || !default_engine;
+    const bool no_cache = std::getenv("ODBSIM_NO_CACHE") != nullptr;
     core::StudyResult study;
     if (!no_cache && loadStudy(path, study)) {
         std::fprintf(stderr, "[bench] loaded cached study from %s\n",
@@ -303,7 +225,6 @@ sharedStudy(core::MachineKind machine)
     cfg.warehouses = figureWarehouseGrid();
     cfg.machine = machine;
     cfg.jobs = g_jobs;
-    applyEngineKnobs(cfg.knobs);
     // A surviving profile sidecar from an earlier --profile run turns
     // into measured longest-first costs (scheduling only — the study
     // itself is bit-identical either way).

@@ -11,6 +11,7 @@
 #define ODBSIM_BENCH_SUPPORT_BENCH_COMMON_HH
 
 #include <functional>
+#include <initializer_list>
 #include <string>
 
 #include "core/scaling_study.hh"
@@ -31,37 +32,23 @@ std::vector<unsigned> figureWarehouseGrid();
  *  - `--profile` (env `ODBSIM_PROFILE`): print per-grid-point wall
  *    time and events fired as points complete (and a study total),
  *    plus write a `*_profile.csv` sidecar next to the study cache;
- *  - `--shards K` (env `ODBSIM_SHARDS`): engine shard count for the
- *    lock manager and buffer cache (power of two; default 1, the
- *    paper-exact layout);
- *  - `--event-queue wheel|heap` (env `ODBSIM_EVENT_QUEUE`): event
- *    queue ordering structure (default wheel; heap is the
- *    bit-identical oracle);
- *  - `--replay-threads N` (env `ODBSIM_REPLAY_THREADS`): host worker
- *    threads for the intra-run replay-side parallel phases (sharded
- *    instant-warm prefill; 1 = serial default, 0 = one per hardware
- *    thread). A host-execution knob like `--jobs`: metrics are
- *    bit-identical at any value, so it does not bypass the CSV cache;
  *  - `--csv-dir DIR` (env `ODBSIM_CSV_DIR`; legacy `ODBSIM_CACHE_DIR`
  *    still honoured): directory for the shared study-cache CSVs (and
  *    their profile sidecars). Defaults to the directory holding the
  *    bench binary — the build tree — so stray CSVs never land in the
  *    source tree or whatever directory the bench was invoked from.
  *
- * Flags win over the environment. Unknown arguments are ignored so
- * bench-specific flags can coexist. The valued knobs are validated
- * here: a missing value, a count (`--jobs`, `--shards`,
- * `--replay-threads` and their environment variables) that is not
- * plain decimal digits, is out of range ([0, 1024] threads, [1, 256]
- * shards) or is a shard count that is not a power of two, or an event
- * queue other than `wheel` or `heap` exits with status 2 and a message
- * naming the knob, before any simulation starts. Results are seed-deterministic
- * regardless of the job count (profiling only observes, never
- * perturbs, the simulation). Studies measured with non-default
- * engine knobs bypass the shared CSV cache so the committed goldens
- * can never be poisoned by an experimental configuration.
+ * Flags win over the environment. Arguments not starting with `--`
+ * are left to the caller (positional names such as `itanium2`);
+ * @p own lists the `--` flags the calling binary parses itself. Any
+ * other `--` flag, a missing value, or a `--jobs`/`ODBSIM_JOBS` count
+ * that is not plain decimal digits in [0, 1024] exits with status 2
+ * and a message naming the flag, before any simulation starts.
+ * Results are seed-deterministic regardless of the job count
+ * (profiling only observes, never perturbs, the simulation).
  */
-void parseArgs(int argc, char **argv);
+void parseArgs(int argc, char **argv,
+               std::initializer_list<const char *> own = {});
 
 /** The worker count selected by parseArgs()/ODBSIM_JOBS (default 1). */
 unsigned studyJobs();
@@ -69,22 +56,9 @@ unsigned studyJobs();
 /** True if --profile / ODBSIM_PROFILE=1 requested per-point timing. */
 bool profileEnabled();
 
-/** Engine shard count selected by --shards/ODBSIM_SHARDS (default 1). */
-unsigned dbShards();
-
-/** Event-queue kind selected by --event-queue/ODBSIM_EVENT_QUEUE. */
-EventQueueKind eventQueueKind();
-
-/** Replay-side worker threads selected by
- *  --replay-threads/ODBSIM_REPLAY_THREADS (default 1). */
-unsigned replayThreads();
-
 /** Study-cache CSV directory selected by --csv-dir/ODBSIM_CSV_DIR
  *  (default: the directory holding the bench binary). */
 const std::string &csvDir();
-
-/** Apply the parsed engine knobs (shards, event queue) to @p knobs. */
-void applyEngineKnobs(core::RunKnobs &knobs);
 
 /**
  * Obtain the full characterization study for @p machine, from the CSV

@@ -27,8 +27,8 @@ main(int argc, char **argv)
     using namespace odbsim;
     using analysis::TextTable;
 
-    // Shared knobs (--jobs/--shards/--event-queue/--profile) live in
-    // bench_common; only the positional machine name is local.
+    // Shared knobs (--jobs/--profile/--csv-dir) live in bench_common;
+    // only the positional machine name is local.
     bench::parseArgs(argc, argv);
     core::StudyConfig cfg;
     for (int i = 1; i < argc; ++i) {
@@ -36,7 +36,6 @@ main(int argc, char **argv)
             cfg.machine = core::MachineKind::Itanium2Quad;
     }
     cfg.jobs = bench::studyJobs();
-    bench::applyEngineKnobs(cfg.knobs);
     cfg.onPoint = [](const core::RunResult &r) {
         std::fprintf(stderr, "  measured W=%u P=%u: cpi %.2f mpi %.4f\n",
                      r.warehouses, r.processors, r.cpi, r.mpi * 1e3);

@@ -25,8 +25,8 @@ main(int argc, char **argv)
     using namespace odbsim;
     using analysis::TextTable;
 
-    // Shared knobs (--jobs/--shards/--event-queue/--profile) live in
-    // bench_common; only the positional machine name is local.
+    // Shared knobs (--jobs/--profile/--csv-dir) live in bench_common;
+    // only the positional machine name is local.
     bench::parseArgs(argc, argv);
     core::StudyConfig cfg;
     for (int i = 1; i < argc; ++i) {
@@ -34,7 +34,6 @@ main(int argc, char **argv)
             cfg.machine = core::MachineKind::Itanium2Quad;
     }
     cfg.jobs = bench::studyJobs();
-    bench::applyEngineKnobs(cfg.knobs);
     cfg.onPoint = [](const core::RunResult &r) {
         std::fprintf(stderr, "  measured W=%u P=%u C=%u\n", r.warehouses,
                      r.processors, r.clients);

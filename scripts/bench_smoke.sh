@@ -6,11 +6,10 @@
 # speedup gates and cross-checks the flat directory against the legacy
 # implementation), then regenerates both scaling-study CSVs into
 # scratch caches — once serially, once with the parallel
-# longest-first scheduler (--jobs 0), and once with --jobs 3
-# --replay-threads 2 (both host-execution knobs at once must be
-# invisible in the output) — and diffs every regeneration against the
-# references committed in tests/golden/. A missing reference fails
-# the script.
+# longest-first scheduler (--jobs 0), and once with --jobs 3 (an odd
+# worker count must be invisible in the output too) — and diffs every
+# regeneration against the references committed in tests/golden/. A
+# missing reference fails the script.
 #
 # Every bench invocation pins ODBSIM_CSV_DIR to a scratch directory
 # (removed on exit), so the script never leaves stray study CSVs in
@@ -86,17 +85,16 @@ ODBSIM_CSV_DIR="$cache_parallel" "$build_dir/bench/bench_fig09_cpi" -j 0 > /dev/
 ODBSIM_CSV_DIR="$cache_parallel" "$build_dir/bench/bench_fig19_itanium2" -j 0 > /dev/null
 check_goldens "$cache_parallel" "parallel"
 
-echo "== regenerate study CSVs with a cold cache (--jobs 3 --replay-threads 2) =="
-# Both host-execution knobs at once: an odd study worker count and
-# intra-run replay threads. The studies must still come out byte-exact
-# (neither knob bypasses the CSV cache — see EXPERIMENTS.md).
-cache_replay="$(mktemp -d)"
-trap 'rm -rf "$cache_serial" "$cache_parallel" "$cache_replay"' EXIT
-ODBSIM_CSV_DIR="$cache_replay" "$build_dir/bench/bench_fig09_cpi" \
-    --jobs 3 --replay-threads 2 > /dev/null
-ODBSIM_CSV_DIR="$cache_replay" "$build_dir/bench/bench_fig19_itanium2" \
-    --jobs 3 --replay-threads 2 > /dev/null
-check_goldens "$cache_replay" "jobs3+replay2"
+echo "== regenerate study CSVs with a cold cache (--jobs 3) =="
+# An odd study worker count: the studies must still come out
+# byte-exact.
+cache_jobs3="$(mktemp -d)"
+trap 'rm -rf "$cache_serial" "$cache_parallel" "$cache_jobs3"' EXIT
+ODBSIM_CSV_DIR="$cache_jobs3" "$build_dir/bench/bench_fig09_cpi" \
+    --jobs 3 > /dev/null
+ODBSIM_CSV_DIR="$cache_jobs3" "$build_dir/bench/bench_fig19_itanium2" \
+    --jobs 3 > /dev/null
+check_goldens "$cache_jobs3" "jobs3"
 
 echo "== islands deployment sweep (serial vs --jobs 0 must be bit-identical) =="
 # The sweep self-checks its crossover physics (exit 3 on failure); the

@@ -35,14 +35,12 @@ ExperimentRunner::runWithPreset(const MachinePreset &preset,
     // leaves the run bit-identical (inertness contract).
     os::SystemConfig syscfg = preset.sys;
     syscfg.faults = knobs.faults;
-    syscfg.eventQueue = knobs.eventQueue;
     os::System sys(syscfg);
 
     db::DatabaseConfig dbcfg;
     dbcfg.schema.warehouses = warehouses;
     dbcfg.schema.seed = knobs.seed;
     dbcfg.cacheWarehouseEquivalents = preset.cacheWarehouseEquivalents;
-    dbcfg.shards = knobs.dbShards;
     db::Database database(sys, dbcfg);
     database.start();
 
@@ -57,7 +55,7 @@ ExperimentRunner::runWithPreset(const MachinePreset &preset,
     workload.start();
 
     if (knobs.instantWarm)
-        database.instantWarm({}, knobs.replayThreads);
+        database.instantWarm();
     // Dynamic warm-up: larger databases need more transactions to
     // reach steady-state residency of the skew-hot rows.
     const Tick extra_warm = ticksFromMs(

@@ -85,23 +85,11 @@ struct RunKnobs
      *  default reproduces the paper-scale behaviour; 100×-scale grid
      *  points dial it down to keep wall clock bounded. */
     double warmupPerWarehouseMs = 4.0;
-    /** Engine shard count for the lock manager and buffer cache
-     *  (power of two; 1 = the unsharded paper-scale layout whose
-     *  goldens are byte-exact — see docs/SCALE.md). */
+    /** No effect; kept only because perfbench/staged.cc assigns it. */
     unsigned dbShards = 1;
-    /** Event-queue ordering structure (wheel default; the heap kind
-     *  is the bit-identical differential/perf oracle). */
-    EventQueueKind eventQueue = EventQueueKind::wheel;
-    /**
-     * Host worker threads for the intra-run replay-side parallel
-     * phases (today: the instant-warm buffer-cache prefill, which is
-     * partitioned by buffer shard). 1 (default) is the legacy serial
-     * path; 0 = one worker per hardware thread. A *host-execution*
-     * knob like StudyConfig::jobs, not an engine knob: the simulated
-     * machine and every metric are bit-identical at any value, so it
-     * does not bypass the study CSV caches (enforced by
-     * scripts/bench_smoke.sh's --replay-threads byte-diff).
-     */
+    /** No effect; kept only because perfbench/staged.cc assigns it. */
+    EventQueueKind eventQueue = EventQueueKind::heap;
+    /** No effect; kept only because perfbench/staged.cc assigns it. */
     unsigned replayThreads = 1;
     /** No effect; kept only because perfbench/staged.cc assigns it. */
     unsigned desThreads = 1;

@@ -4,15 +4,13 @@
 #include <vector>
 
 #include "sim/logging.hh"
-#include "sim/thread_pool.hh"
 
 namespace odbsim::db
 {
 
 Database::Database(os::System &sys, const DatabaseConfig &cfg)
     : sys_(sys), cfg_(cfg), schema_(cfg.schema),
-      bufcache_(resolveFrames(cfg, schema_), cfg.shards),
-      locks_(cfg.shards), log_(sys, cfg_.costs),
+      bufcache_(resolveFrames(cfg, schema_)), log_(sys, cfg_.costs),
       dbwr_(sys, cfg_.costs, bufcache_, cfg.dbwr)
 {
     locks_.bind(&sys);
@@ -38,7 +36,7 @@ Database::start()
 
 void
 Database::instantWarm(const std::vector<std::uint32_t> &active_warehouses,
-                      unsigned replay_threads)
+                      unsigned)
 {
     // Collect hottest-first, then prefill coldest-first so the LRU
     // order in the cache matches hotness (hottest prefilled last ends
@@ -60,24 +58,8 @@ Database::instantWarm(const std::vector<std::uint32_t> &active_warehouses,
         return Schema::mix(b, 0xd1d1, 0) % 1000 <
                static_cast<std::uint64_t>(cfg_.warmDirtyFraction * 1000.0);
     };
-    const unsigned shards = bufcache_.shards();
-    if (replay_threads == 1 || shards == 1 || hot.size() < 2) {
-        for (auto it = hot.rbegin(); it != hot.rend(); ++it)
-            bufcache_.prefill(*it, dirtyOf(*it));
-    } else {
-        // Host-parallel fill: split the coldest-first stream by buffer
-        // shard. prefill() touches only its block's shard (map, free
-        // list, LRU chain, frame range are all per-shard), and each
-        // shard sees its blocks in the same relative order as the
-        // serial loop, so the final cache state is bit-identical.
-        std::vector<std::vector<BlockId>> per_shard(shards);
-        for (auto it = hot.rbegin(); it != hot.rend(); ++it)
-            per_shard[bufcache_.shardOf(*it)].push_back(*it);
-        hostParallelFor(replay_threads, shards, [&](std::size_t s) {
-            for (BlockId b : per_shard[s])
-                bufcache_.prefill(b, dirtyOf(b));
-        });
-    }
+    for (auto it = hot.rbegin(); it != hot.rend(); ++it)
+        bufcache_.prefill(*it, dirtyOf(*it));
     bufcache_.resetStats();
 }
 

@@ -43,13 +43,7 @@ struct DatabaseConfig
     double warmDirtyFraction = 0.20;
     DbCostModel costs;
     DbWriterConfig dbwr;
-    /**
-     * Shard count for the lock manager and buffer cache (power of
-     * two). 1 (the default) is structurally identical to the
-     * unsharded engine, keeping paper-scale goldens byte-exact; K>1
-     * partitions both by resource/block hash for production-scale
-     * grids (see docs/SCALE.md).
-     */
+    /** No effect; kept only because perfbench/staged.cc assigns it. */
     unsigned shards = 1;
 };
 
@@ -70,18 +64,12 @@ class Database
      *
      * @param active_warehouses Home warehouses of the bound clients;
      *        empty means all warehouses are active.
-     * @param replay_threads Host-side parallelism for the prefill
-     *        replay (RunKnobs::replayThreads). With a sharded cache
-     *        (K > 1) the hot-block stream is partitioned by buffer
-     *        shard, preserving per-shard order, and the shards are
-     *        prefilled on worker threads; BufferCache::prefill touches
-     *        only its block's shard, so the resulting cache state is
-     *        bit-identical to the serial fill. 1 (default) and K == 1
-     *        take the legacy serial loop unchanged.
+     * The second parameter has no effect; kept only because
+     * perfbench/staged.cc passes it.
      */
     void instantWarm(const std::vector<std::uint32_t>
                          &active_warehouses = {},
-                     unsigned replay_threads = 1);
+                     unsigned = 1);
 
     os::System &sys() { return sys_; }
     Schema &schema() { return schema_; }

@@ -9,7 +9,6 @@ namespace odbsim::os
 
 System::System(const SystemConfig &cfg)
     : cfg_(cfg),
-      eq_(cfg.eventQueue),
       faults_(cfg.faults, cfg.seed ^ 0xfa17ULL),
       memsys_(cfg.numCpus / std::max(1u, cfg.threadsPerCore),
               cfg.hierarchy, cfg.bus, cfg.core.samplePeriod,

@@ -58,13 +58,8 @@ struct SystemConfig
     Tick quantum = 20 * tickPerMs;
     /** Fault-injection knobs (default: none; structurally inert). */
     sim::FaultConfig faults;
-    /**
-     * Event-queue ordering structure. The timer wheel (default) and
-     * the binary heap fire events in identical (when, seq) order, so
-     * whole runs are bit-identical across kinds; the heap is retained
-     * as the differential/perf oracle (see docs/SCALE.md).
-     */
-    EventQueueKind eventQueue = EventQueueKind::wheel;
+    /** No effect; kept only because perfbench/staged.cc assigns it. */
+    EventQueueKind eventQueue = EventQueueKind::heap;
     /** No effect; kept only because perfbench/staged.cc assigns it. */
     unsigned desThreads = 1;
     std::uint64_t seed = 0x0d'b51edeULL;

@@ -1,97 +1,13 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
-#include <bit>
-#include <limits>
 
 #include "sim/logging.hh"
 
 namespace odbsim
 {
 
-namespace
-{
-constexpr Tick maxTick = std::numeric_limits<Tick>::max();
-} // namespace
-
-EventQueue::EventQueue(EventQueueKind kind) : kind_(kind)
-{
-    for (auto &level : bucketHead_)
-        level.fill(noSlot);
-}
-
-bool
-EventHandle::pending() const
-{
-    return q_ && q_->slotPending(idx_, gen_);
-}
-
-void
-EventHandle::cancel()
-{
-    if (q_)
-        q_->cancelSlot(idx_, gen_);
-}
-
-bool
-EventQueue::slotPending(std::uint32_t idx, std::uint32_t gen) const
-{
-    // A released slot has its generation bumped, so a stale handle
-    // (fired event, or a reclaimed cancelled entry) never matches.
-    if (idx >= slotCount_)
-        return false;
-    const Slot &s = slotAt(idx);
-    return s.gen == gen && !s.cancelled;
-}
-
-void
-EventQueue::cancelSlot(std::uint32_t idx, std::uint32_t gen)
-{
-    if (!slotPending(idx, gen))
-        return;
-    Slot &s = slotAt(idx);
-    --live_;
-    if (s.where == Where::bucket) {
-        // Wheel buckets are doubly linked, so a cancelled event is
-        // unlinked and its slot reclaimed immediately — a bucket never
-        // holds dead entries, which is what lets advanceWheelTo() skip
-        // passed-over buckets without sweeping them.
-        unlinkFromBucket(idx);
-        releaseSlot(idx);
-        return;
-    }
-    // Heap entries (heap kind / wheel overflow) and collected due
-    // cohorts reclaim lazily: the entry is dropped, and the slot
-    // recycled, when it surfaces.
-    s.cancelled = true;
-}
-
 std::uint32_t
-EventQueue::acquireSlot()
-{
-    if (freeHead_ != noSlot) {
-        const std::uint32_t idx = freeHead_;
-        freeHead_ = slotAt(idx).next;
-        return idx;
-    }
-    if ((slotCount_ & (chunkSlots - 1)) == 0)
-        chunks_.push_back(std::make_unique<Slot[]>(chunkSlots));
-    return slotCount_++;
-}
-
-void
-EventQueue::releaseSlot(std::uint32_t idx)
-{
-    Slot &s = slotAt(idx);
-    s.cb.reset();
-    s.cancelled = false;
-    s.where = Where::none;
-    ++s.gen; // invalidate outstanding handles before reuse
-    s.next = freeHead_;
-    freeHead_ = idx;
-}
-
-EventHandle
 EventQueue::scheduleSlot(Tick when)
 {
 #ifndef NDEBUG
@@ -101,286 +17,52 @@ EventQueue::scheduleSlot(Tick when)
     if (when < curTick_)
         when = curTick_; // release builds clamp to "fire now"
 
-    const std::uint32_t idx = acquireSlot();
-    Slot &s = slotAt(idx);
-    s.when = when;
-    s.seq = nextSeq_++;
-    ++live_;
-    if (kind_ == EventQueueKind::heap) {
-        heap_.push_back(HeapItem{when, s.seq, idx});
-        std::push_heap(heap_.begin(), heap_.end(), Later{});
+    std::uint32_t idx;
+    if (freeHead_ != noSlot) {
+        idx = freeHead_;
+        freeHead_ = slotAt(idx).next;
     } else {
-        // An empty wheel can fast-forward to the present: there is no
-        // live event below curTick_ for the position to stay under.
-        if (live_ == 1 && wheelPos_ < curTick_)
-            wheelPos_ = curTick_;
-        placeSlot(idx);
+        if ((slotCount_ & (chunkSlots - 1)) == 0)
+            chunks_.push_back(std::make_unique<Slot[]>(chunkSlots));
+        idx = slotCount_++;
     }
-    return EventHandle(this, idx, s.gen);
-}
-
-EventQueue::HeapItem
-EventQueue::popTop(std::vector<HeapItem> &heap)
-{
-    const HeapItem top = heap.front();
-    std::pop_heap(heap.begin(), heap.end(), Later{});
-    heap.pop_back();
-    return top;
+    heap_.push_back(HeapItem{when, nextSeq_++, idx});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    return idx;
 }
 
 void
-EventQueue::fireSlot(std::uint32_t idx)
+EventQueue::fireTop()
 {
-    Slot &s = slotAt(idx);
-    curTick_ = s.when;
-    --live_;
+    const HeapItem top = heap_.front();
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+    curTick_ = top.when;
     ++fired_;
-    // Bump the generation before invoking so the callback sees its
-    // own handle as no-longer-pending (cancel-after-fire is a
-    // no-op). The callback runs in place — slot addresses are
-    // stable and this slot is not on the freelist yet, so a
-    // reentrant schedule() cannot clobber the callable mid-call.
-    ++s.gen;
+    // The callback runs in place — slot addresses are stable and this
+    // slot is not on the freelist yet, so a reentrant schedule()
+    // cannot clobber the callable mid-call.
+    Slot &s = slotAt(top.idx);
     s.cb();
     s.cb.reset();
-    s.cancelled = false;
-    s.where = Where::none;
     s.next = freeHead_;
-    freeHead_ = idx;
-}
-
-void
-EventQueue::linkIntoBucket(std::uint32_t idx, unsigned level,
-                           unsigned bucket)
-{
-    Slot &s = slotAt(idx);
-    s.where = Where::bucket;
-    s.level = static_cast<std::uint8_t>(level);
-    s.bucket = static_cast<std::uint8_t>(bucket);
-    s.prev = noSlot;
-    s.next = bucketHead_[level][bucket];
-    if (s.next != noSlot)
-        slotAt(s.next).prev = idx;
-    bucketHead_[level][bucket] = idx;
-    occ_[level] |= std::uint64_t{1} << bucket;
-}
-
-void
-EventQueue::unlinkFromBucket(std::uint32_t idx)
-{
-    Slot &s = slotAt(idx);
-    if (s.prev != noSlot) {
-        slotAt(s.prev).next = s.next;
-    } else {
-        bucketHead_[s.level][s.bucket] = s.next;
-        if (s.next == noSlot)
-            occ_[s.level] &= ~(std::uint64_t{1} << s.bucket);
-    }
-    if (s.next != noSlot)
-        slotAt(s.next).prev = s.prev;
-}
-
-void
-EventQueue::placeSlot(std::uint32_t idx)
-{
-    Slot &s = slotAt(idx);
-    if (blockOf(s.when) != blockOf(wheelPos_)) {
-        // Beyond the wheel's addressable block: park in the overflow
-        // heap until the position reaches the event's block.
-        s.where = Where::overflow;
-        heap_.push_back(HeapItem{s.when, s.seq, idx});
-        std::push_heap(heap_.begin(), heap_.end(), Later{});
-        return;
-    }
-    // Same block: the level is the highest digit in which the event's
-    // time differs from the wheel position; equal times land in the
-    // level-0 bucket of the position itself (the due-now cohort).
-    const Tick x = s.when ^ wheelPos_;
-    const unsigned level =
-        x ? (std::bit_width(x) - 1) / kWheelLevelShift : 0u;
-    linkIntoBucket(idx, level,
-                   static_cast<unsigned>(digitOf(s.when, level)));
-}
-
-void
-EventQueue::advanceWheelTo(Tick pos)
-{
-    const Tick old = wheelPos_;
-    wheelPos_ = pos;
-    if ((old ^ pos) < kWheelBuckets)
-        return; // only digit 0 moved: level-0 buckets stay valid
-    // Every level whose digit changed must cascade the bucket the new
-    // position landed in: its members are no longer "strictly ahead"
-    // at that level and re-place into lower levels (or the due-now
-    // bucket). Buckets passed over entirely are provably empty — the
-    // position only ever advances to the earliest live event time.
-    for (unsigned l = kWheelLevels - 1; l >= 1; --l) {
-        if (digitOf(old, l) == digitOf(pos, l))
-            continue;
-        const unsigned b = static_cast<unsigned>(digitOf(pos, l));
-        if (!(occ_[l] >> b & 1))
-            continue;
-        std::uint32_t n = bucketHead_[l][b];
-        bucketHead_[l][b] = noSlot;
-        occ_[l] &= ~(std::uint64_t{1} << b);
-        while (n != noSlot) {
-            const std::uint32_t nx = slotAt(n).next;
-            placeSlot(n); // re-links, landing strictly below level l
-            n = nx;
-        }
-    }
-}
-
-void
-EventQueue::drainOverflow()
-{
-    while (!heap_.empty() && blockOf(heap_.front().when) <= blockOf(wheelPos_)) {
-        const HeapItem it = popTop(heap_);
-        Slot &s = slotAt(it.idx);
-        if (s.cancelled) {
-            releaseSlot(it.idx);
-            continue;
-        }
-#ifndef NDEBUG
-        odbsim_assert(s.when >= wheelPos_,
-                      "live overflow event behind the wheel position");
-#endif
-        if (s.when < wheelPos_)
-            s.when = wheelPos_; // unreachable by invariant; stay safe
-        placeSlot(it.idx);
-    }
-}
-
-bool
-EventQueue::refillDue(Tick limit)
-{
-    // Serve out any cohort left over from a previous step() first,
-    // reclaiming members cancelled since collection.
-    while (dueCursor_ < due_.size()) {
-        const std::uint32_t idx = due_[dueCursor_];
-        if (slotAt(idx).cancelled) {
-            releaseSlot(idx);
-            ++dueCursor_;
-            continue;
-        }
-        return slotAt(idx).when <= limit;
-    }
-    due_.clear();
-    dueCursor_ = 0;
-
-    for (;;) {
-        drainOverflow();
-        // Level 0 first: the lowest occupied bucket at or after the
-        // position's own digit is the earliest event in the wheel
-        // (lower levels are provably earlier than higher ones).
-        const unsigned d0 = static_cast<unsigned>(digitOf(wheelPos_, 0));
-        const std::uint64_t m0 = occ_[0] & (~std::uint64_t{0} << d0);
-        if (m0) {
-            const unsigned b =
-                static_cast<unsigned>(std::countr_zero(m0));
-            const Tick when =
-                (wheelPos_ & ~Tick{kWheelBuckets - 1}) | b;
-            if (when > limit)
-                return false;
-            wheelPos_ = when; // digit-0 move only: nothing cascades
-            // A level-0 bucket is a single-tick cohort; one seq sort
-            // restores the same-tick FIFO firing contract.
-            occ_[0] &= ~(std::uint64_t{1} << b);
-            std::uint32_t n = bucketHead_[0][b];
-            bucketHead_[0][b] = noSlot;
-            while (n != noSlot) {
-                Slot &s = slotAt(n);
-                s.where = Where::due;
-                due_.push_back(n);
-                n = s.next;
-            }
-            std::sort(due_.begin(), due_.end(),
-                      [this](std::uint32_t a, std::uint32_t c) {
-                          return slotAt(a).seq < slotAt(c).seq;
-                      });
-            return true;
-        }
-        unsigned l = 1;
-        while (l < kWheelLevels && !occ_[l])
-            ++l;
-        if (l == kWheelLevels) {
-            // Wheel empty: jump straight to the overflow minimum (no
-            // bucket is occupied, so the jump cascades nothing).
-            while (!heap_.empty() && slotAt(heap_.front().idx).cancelled)
-                releaseSlot(popTop(heap_).idx);
-            if (heap_.empty() || heap_.front().when > limit)
-                return false;
-            advanceWheelTo(heap_.front().when);
-            continue;
-        }
-        // Advance to the start of the lowest occupied bucket of the
-        // lowest occupied level — never past the earliest live event,
-        // and never past the caller's limit — and cascade it down.
-        const unsigned b = static_cast<unsigned>(std::countr_zero(occ_[l]));
-        const unsigned shift = kWheelLevelShift * l;
-        const Tick above = (wheelPos_ >> (shift + kWheelLevelShift))
-                           << (shift + kWheelLevelShift);
-        const Tick start = above | (Tick{b} << shift);
-        if (start > limit)
-            return false;
-        advanceWheelTo(start);
-    }
+    freeHead_ = top.idx;
 }
 
 bool
 EventQueue::step()
 {
-    if (kind_ == EventQueueKind::heap)
-        return stepHeap();
-    if (!refillDue(maxTick))
+    if (heap_.empty())
         return false;
-    fireSlot(due_[dueCursor_++]);
+    fireTop();
     return true;
 }
 
 Tick
 EventQueue::run(Tick limit)
 {
-    if (kind_ == EventQueueKind::heap)
-        return runHeap(limit);
-    while (refillDue(limit))
-        fireSlot(due_[dueCursor_++]);
-    curTick_ = std::max(curTick_, limit);
-    return curTick_;
-}
-
-bool
-EventQueue::stepHeap()
-{
-    while (!heap_.empty()) {
-        const HeapItem top = popTop(heap_);
-        Slot &s = slotAt(top.idx);
-        if (s.cancelled) {
-            // live_ was already decremented when the event was
-            // cancelled; just reclaim the slot.
-            releaseSlot(top.idx);
-            continue;
-        }
-        fireSlot(top.idx);
-        return true;
-    }
-    return false;
-}
-
-Tick
-EventQueue::runHeap(Tick limit)
-{
-    while (!heap_.empty()) {
-        // Drop dead entries so the top reflects the next live event.
-        while (!heap_.empty() && slotAt(heap_.front().idx).cancelled) {
-            releaseSlot(popTop(heap_).idx);
-        }
-        if (heap_.empty())
-            break;
-        if (heap_.front().when > limit)
-            break;
-        stepHeap();
-    }
+    while (!heap_.empty() && heap_.front().when <= limit)
+        fireTop();
     curTick_ = std::max(curTick_, limit);
     return curTick_;
 }

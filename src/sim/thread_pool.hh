@@ -2,8 +2,7 @@
  * @file
  * A work-stealing worker pool for running independent host-side tasks —
  * the execution engine behind parallel scaling studies and intra-point
- * parallelism (per-seed repeat replicas, the sharded instant-warm
- * prefill).
+ * parallelism (per-seed repeat replicas).
  * The simulator itself stays single-threaded and deterministic; the
  * pool only ever runs *self-contained* jobs concurrently, never parts
  * of one simulation's event loop.

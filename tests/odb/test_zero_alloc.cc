@@ -257,52 +257,37 @@ TEST(ZeroAlloc, FaultFreeRunWithFaultsCompiledInStaysFlat)
 }
 
 /**
- * Steady-state scheduling through the timer wheel is strictly
- * allocation-free: once the slab, the overflow heap and the firing
- * cohort have reached their high-water marks, a schedule-one/fire-one
- * loop at constant population — spanning every wheel level and the
- * far-future overflow — performs zero heap allocations.
+ * Steady-state event scheduling is strictly allocation-free: once the
+ * slab and the heap have reached their high-water marks, a
+ * schedule-one/fire-one loop at constant population — mixing short,
+ * mid-range and far-future delays — performs zero heap allocations.
  */
-TEST(ZeroAlloc, WheelSteadyStateSchedulingIsAllocationFree)
+TEST(ZeroAlloc, EventQueueSteadyStateSchedulingIsAllocationFree)
 {
+    constexpr Tick farFuture = Tick{1} << 50;
     EventQueue eq;
     Rng rng(7);
     std::uint64_t sink = 0;
     auto delay = [&rng]() -> Tick {
         switch (rng.below(16)) {
-          case 0: // Beyond the wheel horizon: overflow heap.
-            return EventQueue::kWheelHorizon + rng.below(1000);
+          case 0:
+            return farFuture + rng.below(1000);
           case 1:
-          case 2: // Mid levels.
+          case 2:
             return rng.below(3'000'000) + 1;
-          default: // Levels 0-2.
+          default:
             return rng.below(1'000) + 1;
         }
     };
-    // Warm-up, sized so every internal buffer's high-water mark covers
-    // the measured loop. The standing population is 2048 and its
-    // composition drifts: short events fire and recycle while
-    // far-future ones accumulate in the overflow until a horizon-block
-    // jump drains them — so in the worst case the whole population sits
-    // in the overflow heap at once. Warm it to the full population
-    // (plus slack for the lazily-reclaimed cancelled entries), not
-    // just to the schedule-mix share.
-    std::vector<EventHandle> far;
-    far.reserve(3000);
-    for (int i = 0; i < 3000; ++i) {
-        far.push_back(
-            eq.scheduleAfter(EventQueue::kWheelHorizon + rng.below(1000),
-                             [&sink] { ++sink; }));
-    }
-    for (int i = 0; i < 952; ++i)
-        far[i].cancel(); // 2048 live far-future events remain.
-    for (int i = 0; i < 1100; ++i) {
-        // 64 of these share one tick, warming the firing cohort.
-        const Tick d = i < 64 ? 500 : rng.below(1'000) + 1;
-        eq.scheduleAfter(d, [&sink] { ++sink; });
-    }
+    // Warm-up: a standing population of 2048 far-future events, plus
+    // 1100 short ones fired at once, so the slab and the heap have
+    // room for more than the measured loop's population.
+    for (int i = 0; i < 2048; ++i)
+        eq.scheduleAfter(farFuture + rng.below(1000), [&sink] { ++sink; });
     for (int i = 0; i < 1100; ++i)
-        eq.step(); // Fire every short event; the far ones park.
+        eq.scheduleAfter(rng.below(1'000) + 1, [&sink] { ++sink; });
+    for (int i = 0; i < 1100; ++i)
+        eq.step(); // Fire every short event; the far ones stay.
     ASSERT_EQ(eq.size(), 2048u);
 
     const std::uint64_t newBefore =
@@ -312,7 +297,7 @@ TEST(ZeroAlloc, WheelSteadyStateSchedulingIsAllocationFree)
         eq.step();
     }
     EXPECT_EQ(g_newCalls.load(std::memory_order_relaxed), newBefore)
-        << "steady-state wheel scheduling touched the heap";
+        << "steady-state event scheduling touched the heap";
     EXPECT_GT(sink, 0u);
     EXPECT_EQ(eq.size(), 2048u);
 }
@@ -335,13 +320,13 @@ class ParkedForever : public os::Process
 };
 
 /**
- * Steady-state churn through K=4 sharded lock and buffer tables —
- * contended acquire/release rounds with FIFO hand-offs, and a
- * miss/evict reference stream — performs zero heap allocations once
- * the shards' tables, waiter pools and the scheduler's wake path have
- * reached their high-water marks.
+ * Steady-state churn through the lock and buffer tables — contended
+ * acquire/release rounds with FIFO hand-offs, and a miss/evict
+ * reference stream — performs zero heap allocations once the tables,
+ * the waiter pool and the scheduler's wake path have reached their
+ * high-water marks.
  */
-TEST(ZeroAlloc, ShardedLockAndBufferSteadyStateIsAllocationFree)
+TEST(ZeroAlloc, LockAndBufferSteadyStateIsAllocationFree)
 {
     os::SystemConfig cfg;
     cfg.numCpus = 1;
@@ -353,15 +338,15 @@ TEST(ZeroAlloc, ShardedLockAndBufferSteadyStateIsAllocationFree)
     os::Process *p2 = sys.spawn(std::make_unique<ParkedForever>());
     sys.runFor(tickPerMs); // Let both park.
 
-    db::LockManager lm(4);
-    db::BufferCache bc(64, 4);
+    db::LockManager lm;
+    db::BufferCache bc(64);
     Rng rng(11);
     std::uint64_t sink = 0;
     auto round = [&] {
         for (db::LockKey k = 0; k < 32; ++k)
             lm.acquire(p1, k);
         for (db::LockKey k = 0; k < 8; ++k)
-            lm.acquire(p2, k); // Queued: exercises the waiter pools.
+            lm.acquire(p2, k); // Queued: exercises the waiter pool.
         for (db::LockKey k = 0; k < 32; ++k)
             lm.release(p1, k, sys);
         for (db::LockKey k = 0; k < 8; ++k)
@@ -375,7 +360,7 @@ TEST(ZeroAlloc, ShardedLockAndBufferSteadyStateIsAllocationFree)
             }
         }
     };
-    round(); // Reach every shard's high-water population.
+    round(); // Reach the high-water population.
 
     const std::uint64_t tblBefore = lm.tableAllocations();
     const std::uint64_t mapBefore = bc.mapAllocations();
@@ -384,7 +369,7 @@ TEST(ZeroAlloc, ShardedLockAndBufferSteadyStateIsAllocationFree)
     for (int i = 0; i < 2000; ++i)
         round();
     EXPECT_EQ(g_newCalls.load(std::memory_order_relaxed), newBefore)
-        << "steady-state sharded lock/buffer churn touched the heap";
+        << "steady-state lock/buffer churn touched the heap";
     EXPECT_EQ(lm.tableAllocations(), tblBefore);
     EXPECT_EQ(bc.mapAllocations(), mapBefore);
     EXPECT_EQ(lm.heldCount(), 0u);

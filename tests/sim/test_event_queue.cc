@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the discrete-event kernel: ordering, same-tick FIFO,
- * cancellation, run limits.
+ * slot recycling, run limits.
  */
 
 #include <gtest/gtest.h>
@@ -91,29 +91,6 @@ TEST(EventQueue, RunToLimitAdvancesTimeEvenWithoutEvents)
     EXPECT_EQ(eq.curTick(), 1000u);
 }
 
-TEST(EventQueue, CancelledEventDoesNotFire)
-{
-    EventQueue eq;
-    int fired = 0;
-    EventHandle h = eq.schedule(10, [&] { ++fired; });
-    EXPECT_TRUE(h.pending());
-    h.cancel();
-    EXPECT_FALSE(h.pending());
-    eq.runAll();
-    EXPECT_EQ(fired, 0);
-}
-
-TEST(EventQueue, CancelAfterFireIsHarmless)
-{
-    EventQueue eq;
-    int fired = 0;
-    EventHandle h = eq.schedule(10, [&] { ++fired; });
-    eq.runAll();
-    EXPECT_FALSE(h.pending());
-    h.cancel();
-    EXPECT_EQ(fired, 1);
-}
-
 TEST(EventQueue, EventsScheduledDuringEventsFire)
 {
     EventQueue eq;
@@ -135,79 +112,6 @@ TEST(EventQueue, CountsFiredEvents)
         eq.schedule(i, [] {});
     eq.runAll();
     EXPECT_EQ(eq.eventsFired(), 10u);
-}
-
-TEST(EventQueue, DefaultHandleIsNotPending)
-{
-    EventHandle h;
-    EXPECT_FALSE(h.pending());
-    h.cancel(); // Must not crash.
-}
-
-TEST(EventQueue, HandleCopiesAgreeOnPendingAndCancel)
-{
-    EventQueue eq;
-    int fired = 0;
-    EventHandle a = eq.schedule(10, [&] { ++fired; });
-    EventHandle b = a; // copies refer to the same event
-    EXPECT_TRUE(a.pending());
-    EXPECT_TRUE(b.pending());
-    b.cancel();
-    EXPECT_FALSE(a.pending());
-    EXPECT_FALSE(b.pending());
-    a.cancel(); // double cancel through the other copy: no-op
-    eq.runAll();
-    EXPECT_EQ(fired, 0);
-}
-
-TEST(EventQueue, SizeExcludesCancelledEvents)
-{
-    EventQueue eq;
-    EventHandle a = eq.schedule(10, [] {});
-    EventHandle b = eq.schedule(20, [] {});
-    eq.schedule(30, [] {});
-    EXPECT_EQ(eq.size(), 3u);
-    a.cancel();
-    EXPECT_EQ(eq.size(), 2u);
-    b.cancel();
-    b.cancel(); // idempotent: must not decrement twice
-    EXPECT_EQ(eq.size(), 1u);
-    EXPECT_FALSE(eq.empty());
-    eq.runAll();
-    EXPECT_EQ(eq.size(), 0u);
-    EXPECT_TRUE(eq.empty());
-}
-
-TEST(EventQueue, StaleHandleCannotCancelRecycledSlot)
-{
-    EventQueue eq;
-    int first = 0, second = 0;
-    EventHandle stale = eq.schedule(10, [&] { ++first; });
-    eq.runAll();
-    EXPECT_FALSE(stale.pending());
-    // The fired event's slot is recycled for the next schedule; the
-    // stale handle's generation no longer matches, so cancelling it
-    // must not kill the new occupant.
-    EventHandle fresh = eq.schedule(20, [&] { ++second; });
-    stale.cancel();
-    EXPECT_TRUE(fresh.pending());
-    eq.runAll();
-    EXPECT_EQ(first, 1);
-    EXPECT_EQ(second, 1);
-}
-
-TEST(EventQueue, CallbackSeesOwnHandleAsFired)
-{
-    EventQueue eq;
-    EventHandle h;
-    bool was_pending = true;
-    h = eq.schedule(10, [&] {
-        was_pending = h.pending();
-        h.cancel(); // cancel-after-fire from inside: must be a no-op
-    });
-    eq.runAll();
-    EXPECT_FALSE(was_pending);
-    EXPECT_EQ(eq.eventsFired(), 1u);
 }
 
 // Release builds clamp a past tick to curTick(); debug builds panic.
@@ -262,17 +166,15 @@ TEST(EventQueue, LargeCaptureFallsBackToHeapAndStillFires)
 }
 
 /**
- * Stress: random schedule/cancel churn checked against a naive
- * reference model. Catches slot-recycling and lazy-reclamation bugs
- * the targeted tests above can miss.
+ * Stress: random schedule/step churn checked against a naive
+ * reference model. Catches slot-recycling bugs the targeted tests
+ * above can miss.
  */
 TEST(EventQueue, ChurnMatchesNaiveReferenceModel)
 {
     EventQueue eq;
-    std::vector<std::pair<Tick, int>> expected; // (when, id) of live events
+    std::vector<std::pair<Tick, int>> expected; // (when, id) of events
     std::vector<std::pair<Tick, int>> fired;
-    std::vector<EventHandle> handles;
-    std::vector<int> ids;
 
     std::uint64_t x = 0x9e3779b97f4a7c15ULL;
     auto next = [&x] {
@@ -285,33 +187,20 @@ TEST(EventQueue, ChurnMatchesNaiveReferenceModel)
     int id = 0;
     for (int round = 0; round < 2000; ++round) {
         const std::uint64_t r = next();
-        if (r % 4 != 0 || handles.empty()) {
-            const Tick when = eq.curTick() + (next() % 50);
-            const int my_id = id++;
-            handles.push_back(eq.schedule(
-                when, [&fired, &eq, my_id] {
-                    fired.emplace_back(eq.curTick(), my_id);
-                }));
-            ids.push_back(my_id);
-            expected.emplace_back(when, my_id);
-        } else {
-            const std::size_t pick = next() % handles.size();
-            if (handles[pick].pending()) {
-                handles[pick].cancel();
-                const int victim = ids[pick];
-                std::erase_if(expected, [victim](const auto &e) {
-                    return e.second == victim;
-                });
-            }
-        }
+        const Tick when = eq.curTick() + (next() % 50);
+        const int my_id = id++;
+        eq.schedule(when, [&fired, &eq, my_id] {
+            fired.emplace_back(eq.curTick(), my_id);
+        });
+        expected.emplace_back(when, my_id);
         if (r % 7 == 0)
             eq.step();
     }
     eq.runAll();
 
-    // Model: every un-cancelled event fires exactly once, in
+    // Model: every event fires exactly once, in
     // (when, schedule-order) order. Ids are assigned in schedule
-    // order, so sorting the surviving schedules by (when, id) yields
+    // order, so sorting the schedules by (when, id) yields
     // the exact expected firing sequence — schedule() only accepts
     // when >= curTick, so no later schedule can jump ahead of an
     // earlier one at the same tick.
@@ -326,7 +215,7 @@ TEST(EventQueue, ChurnMatchesNaiveReferenceModel)
     EXPECT_TRUE(eq.empty());
 }
 
-TEST(EventQueueWheel, ScheduleAtNowFiresImmediately)
+TEST(EventQueue, ScheduleAtNowFiresImmediately)
 {
     EventQueue eq;
     eq.schedule(100, [] {});
@@ -338,14 +227,13 @@ TEST(EventQueueWheel, ScheduleAtNowFiresImmediately)
     EXPECT_EQ(eq.curTick(), 100u);
 }
 
-TEST(EventQueueWheel, FarFutureEventsSpillToOverflowAndRefill)
+TEST(EventQueue, FarFutureEventsFireInTimeOrder)
 {
-    // Deltas beyond kWheelHorizon cannot be indexed by the wheel; they
-    // park in the overflow heap and must drain back in time order as
-    // the wheel position crosses into their block.
+    // Events hundreds of simulated seconds apart fire in time order
+    // and move curTick all the way out.
     EventQueue eq;
     std::vector<int> order;
-    const Tick horizon = EventQueue::kWheelHorizon;
+    const Tick horizon = Tick{1} << 50;
     eq.schedule(3 * horizon + 17, [&] { order.push_back(3); });
     eq.schedule(horizon + 5, [&] { order.push_back(2); });
     eq.schedule(42, [&] { order.push_back(1); });
@@ -354,11 +242,11 @@ TEST(EventQueueWheel, FarFutureEventsSpillToOverflowAndRefill)
     EXPECT_EQ(eq.curTick(), 3 * horizon + 17);
 }
 
-TEST(EventQueueWheel, OverflowRefillPreservesSameTickFifo)
+TEST(EventQueue, FarFutureSameTickFiresInScheduleOrder)
 {
     EventQueue eq;
     std::vector<int> order;
-    const Tick when = EventQueue::kWheelHorizon * 2 + 9;
+    const Tick when = (Tick{1} << 50) * 2 + 9;
     for (int i = 0; i < 8; ++i)
         eq.schedule(when, [&order, i] { order.push_back(i); });
     eq.runAll();
@@ -367,31 +255,11 @@ TEST(EventQueueWheel, OverflowRefillPreservesSameTickFifo)
         EXPECT_EQ(order[i], i);
 }
 
-TEST(EventQueueWheel, CancelWorksInWheelAndInOverflow)
+TEST(EventQueue, SameTickFifoAcrossEarlyAndLateSchedules)
 {
-    EventQueue eq;
-    int fired = 0;
-    // One event in a wheel bucket (eagerly unlinked on cancel), one in
-    // the overflow heap (lazily reclaimed when it surfaces).
-    EventHandle in_wheel = eq.schedule(10, [&] { ++fired; });
-    EventHandle in_overflow =
-        eq.schedule(EventQueue::kWheelHorizon + 1, [&] { ++fired; });
-    eq.schedule(EventQueue::kWheelHorizon + 2, [&] { fired += 10; });
-    EXPECT_EQ(eq.size(), 3u);
-    in_wheel.cancel();
-    in_overflow.cancel();
-    EXPECT_EQ(eq.size(), 1u);
-    eq.runAll();
-    EXPECT_EQ(fired, 10); // only the surviving overflow event fired
-    EXPECT_TRUE(eq.empty());
-}
-
-TEST(EventQueueWheel, SameTickFifoAcrossCascade)
-{
-    // Event 0 is scheduled far ahead (a high wheel level) and must
-    // cascade down as time advances; event 1 targets the same tick but
-    // is scheduled late enough to land directly in a low level. FIFO
-    // demands schedule order — the cascaded event first.
+    // Event 0 is scheduled far ahead; event 1 targets the same tick
+    // but is scheduled just before it, from inside another event.
+    // FIFO demands schedule order — the early-scheduled event first.
     EventQueue eq;
     std::vector<int> order;
     const Tick when = 100'000;
@@ -403,10 +271,10 @@ TEST(EventQueueWheel, SameTickFifoAcrossCascade)
     EXPECT_EQ(order, (std::vector<int>{0, 1}));
 }
 
-TEST(EventQueueWheel, ScheduleAfterIdleAdvanceLandsCorrectly)
+TEST(EventQueue, ScheduleAfterIdleAdvanceLandsCorrectly)
 {
-    // run(limit) past the last event moves curTick without any bucket
-    // cursor work; the next schedules must still index correctly.
+    // run(limit) past the last event moves curTick with nothing to
+    // fire; the next schedules must still land relative to it.
     EventQueue eq;
     eq.run(123'456'789);
     EXPECT_EQ(eq.curTick(), 123'456'789u);
@@ -415,93 +283,6 @@ TEST(EventQueueWheel, ScheduleAfterIdleAdvanceLandsCorrectly)
     eq.schedule(eq.curTick() + 5000, [&] { order.push_back(2); });
     eq.runAll();
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(EventQueueHeap, HeapKindMatchesWheelSemantics)
-{
-    // The heap kind is the differential oracle: same API, same firing
-    // order, including cancel and same-tick FIFO.
-    EventQueue eq(EventQueueKind::heap);
-    std::vector<int> order;
-    EventHandle doomed = eq.schedule(15, [&] { order.push_back(99); });
-    eq.schedule(20, [&] { order.push_back(2); });
-    eq.schedule(10, [&] { order.push_back(0); });
-    eq.schedule(20, [&] { order.push_back(3); });
-    eq.schedule(10, [&] { order.push_back(1); });
-    doomed.cancel();
-    eq.runAll();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-    EXPECT_EQ(eq.curTick(), 20u);
-    EXPECT_EQ(eq.eventsFired(), 4u);
-}
-
-/**
- * Differential oracle: one deterministic schedule/cancel/step stream
- * driven through the wheel and the heap kinds must produce identical
- * firing sequences — the wheel's bucket-and-cascade machinery may
- * never reorder anything relative to the plain (when, seq) heap.
- */
-TEST(EventQueue, WheelMatchesHeapUnderChurn)
-{
-    EventQueue wheel(EventQueueKind::wheel);
-    EventQueue heap(EventQueueKind::heap);
-    std::vector<std::pair<Tick, int>> fired_wheel, fired_heap;
-    std::vector<EventHandle> handles_wheel, handles_heap;
-
-    std::uint64_t x = 0x2545f4914f6cdd1dULL;
-    auto next = [&x] {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        return x;
-    };
-
-    int id = 0;
-    for (int round = 0; round < 3000; ++round) {
-        const std::uint64_t r = next();
-        if (r % 5 != 0 || handles_wheel.empty()) {
-            // Mixed horizons: mostly short, some mid, a few beyond the
-            // wheel horizon (overflow), to hit every placement path.
-            Tick delta;
-            const std::uint64_t d = next();
-            switch (d % 16) {
-              case 0:
-                delta = EventQueue::kWheelHorizon + d % 1000;
-                break;
-              case 1:
-              case 2:
-                delta = d % 3'000'000;
-                break;
-              default:
-                delta = d % 200;
-                break;
-            }
-            const int my_id = id++;
-            const Tick when_wheel = wheel.curTick() + delta;
-            handles_wheel.push_back(wheel.schedule(
-                when_wheel, [&fired_wheel, &wheel, my_id] {
-                    fired_wheel.emplace_back(wheel.curTick(), my_id);
-                }));
-            handles_heap.push_back(heap.schedule(
-                heap.curTick() + delta, [&fired_heap, &heap, my_id] {
-                    fired_heap.emplace_back(heap.curTick(), my_id);
-                }));
-        } else {
-            const std::size_t pick = next() % handles_wheel.size();
-            handles_wheel[pick].cancel();
-            handles_heap[pick].cancel();
-        }
-        if (r % 3 == 0) {
-            wheel.step();
-            heap.step();
-        }
-    }
-    wheel.runAll();
-    heap.runAll();
-    EXPECT_EQ(fired_wheel, fired_heap);
-    EXPECT_EQ(wheel.eventsFired(), heap.eventsFired());
-    EXPECT_TRUE(wheel.empty());
-    EXPECT_TRUE(heap.empty());
 }
 
 /** Property: N randomly-ordered events fire in nondecreasing time. */
