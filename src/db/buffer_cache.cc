@@ -102,16 +102,21 @@ BufferCache::markDirty(std::uint64_t frame)
 void
 BufferCache::prefill(BlockId b, bool dirty)
 {
-    if (map_.find(b) != nullptr)
-        return;
     if (nextFree_ >= totalFrames_)
         return;
+    // One probe: finds a resident block (left untouched) or claims
+    // the slot a new one goes in. With a free frame the population is
+    // below the reserved frame count, so this never rehashes.
+    bool inserted;
+    std::uint32_t &slot = map_.findOrInsert(b, inserted);
+    if (!inserted)
+        return;
     const std::uint32_t f = static_cast<std::uint32_t>(nextFree_++);
+    slot = f;
     Frame &fr = frames_[f];
     fr.block = b;
     fr.dirty = dirty;
     fr.ioPending = false;
-    map_.findOrInsert(b) = f;
     pushFront(f);
 }
 

@@ -23,7 +23,9 @@
 #ifndef ODBSIM_DB_BUFFER_CACHE_HH
 #define ODBSIM_DB_BUFFER_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "db/types.hh"
@@ -109,6 +111,28 @@ class BufferCache
      * population). No-op if already resident or no free frame exists.
      */
     void prefill(BlockId b, bool dirty = false);
+
+    /**
+     * Warm-up helper: prefill() every block of @p hottest_first,
+     * coldest first, so the hottest block ends up at MRU; @p dirty(b)
+     * gives each block's dirty bit. The index slot and generation
+     * stamp of the block 16 positions on are prefetched, so the
+     * random index inserts overlap instead of stalling one cache miss
+     * at a time.
+     */
+    template <typename DirtyFn>
+    void
+    prefillColdestFirst(std::span<const BlockId> hottest_first,
+                        DirtyFn &&dirty)
+    {
+        constexpr std::size_t ahead = 16;
+        for (std::size_t i = hottest_first.size(); i-- > 0;) {
+            if (i >= ahead)
+                map_.prefetch(hottest_first[i - ahead]);
+            const BlockId b = hottest_first[i];
+            prefill(b, dirty(b));
+        }
+    }
 
     /** Clean a resident block (DBWR finished writing it back). */
     void markClean(BlockId b);

@@ -1,6 +1,6 @@
 #include "db/database.hh"
 
-#include <unordered_set>
+#include <algorithm>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -40,26 +40,34 @@ Database::instantWarm(const std::vector<std::uint32_t> &active_warehouses,
 {
     // Collect hottest-first, then prefill coldest-first so the LRU
     // order in the cache matches hotness (hottest prefilled last ends
-    // up at MRU).
-    std::vector<BlockId> hot;
-    hot.reserve(bufcache_.numFrames());
-    std::unordered_set<BlockId> seen;
-    seen.reserve(bufcache_.numFrames());
+    // up at MRU). Blocks already resident count against the budget
+    // and are skipped by the prefill. A bitmap over the block-id
+    // space dedupes the enumeration, so the whole warm-up makes a
+    // constant number of heap allocations whatever the frame count.
+    const std::uint64_t total = schema_.totalBlocks();
     const std::uint64_t budget =
         bufcache_.numFrames() - bufcache_.residentBlocks();
+    std::vector<BlockId> hot;
+    hot.reserve(std::min(budget, total));
+    std::vector<std::uint64_t> seen((total + 63) / 64);
     schema_.enumerateWarm(
         [&](BlockId b) {
-            if (seen.insert(b).second)
+            odbsim_assert(b < total, "warm block ", b,
+                          " outside the schema's ", total, " blocks");
+            std::uint64_t &word = seen[b >> 6];
+            const std::uint64_t bit = std::uint64_t{1} << (b & 63);
+            if (!(word & bit)) {
+                word |= bit;
                 hot.push_back(b);
+            }
             return hot.size() < budget;
         },
         active_warehouses.empty() ? nullptr : &active_warehouses);
-    const auto dirtyOf = [this](BlockId b) {
-        return Schema::mix(b, 0xd1d1, 0) % 1000 <
-               static_cast<std::uint64_t>(cfg_.warmDirtyFraction * 1000.0);
-    };
-    for (auto it = hot.rbegin(); it != hot.rend(); ++it)
-        bufcache_.prefill(*it, dirtyOf(*it));
+    const auto dirty_cut =
+        static_cast<std::uint64_t>(cfg_.warmDirtyFraction * 1000.0);
+    bufcache_.prefillColdestFirst(hot, [dirty_cut](BlockId b) {
+        return Schema::mix(b, 0xd1d1, 0) % 1000 < dirty_cut;
+    });
     bufcache_.resetStats();
 }
 

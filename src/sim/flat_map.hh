@@ -94,6 +94,18 @@ class FlatMap
         return npos;
     }
 
+    /**
+     * Hint that @p key is about to be probed or inserted: prefetch its
+     * ideal slot and generation stamp. Changes no state.
+     */
+    void
+    prefetch(Key key) const
+    {
+        const std::size_t i = indexOf(key);
+        __builtin_prefetch(&slots_[i]);
+        __builtin_prefetch(&gens_[i]);
+    }
+
     /** Value lookup; nullptr when absent. @{ */
     Mapped *
     find(Key key)

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "db/buffer_cache.hh"
 
 namespace
@@ -143,8 +145,41 @@ TEST(BufferCache, PrefillDuplicateIsNoop)
 {
     BufferCache bc(8);
     bc.prefill(1);
-    bc.prefill(1);
-    EXPECT_EQ(bc.residentBlocks(), 1u);
+    bc.prefill(2);
+    bc.prefill(1, true); // Resident: keeps its frame, stays clean.
+    EXPECT_EQ(bc.residentBlocks(), 2u);
+    EXPECT_EQ(bc.peek(1).frame, 0u);
+    EXPECT_FALSE(bc.isDirty(0));
+    EXPECT_EQ(bc.allocate(100).evictedBlock, invalidBlock);
+}
+
+TEST(BufferCache, PrefillColdestFirstPutsHottestAtMru)
+{
+    // Longer than the prefetch distance, with a repeat and more
+    // blocks than frames: the hottest blocks are the ones dropped.
+    std::vector<BlockId> hottest_first;
+    for (BlockId b = 0; b < 50; ++b)
+        hottest_first.push_back(1000 + b);
+    hottest_first[20] = 1040; // A repeat; 1020 is never listed.
+    BufferCache bc(40);
+    bc.prefillColdestFirst(hottest_first,
+                           [](BlockId b) { return b % 3 == 0; });
+    EXPECT_EQ(bc.residentBlocks(), 40u);
+    EXPECT_EQ(bc.peek(1049).frame, 0u); // Coldest got the first frame.
+    EXPECT_TRUE(bc.peek(1009).hit);
+    EXPECT_FALSE(bc.peek(1008).hit); // Frames ran out before it.
+    // Drain LRU-first: 1049 (coldest) first, 1009 (MRU) last.
+    std::vector<BlockId> lru;
+    for (BlockId b = 0; b < 40; ++b) {
+        const BufferVictim v = bc.allocate(5000 + b);
+        EXPECT_EQ(v.wasDirty, v.evictedBlock % 3 == 0);
+        lru.push_back(v.evictedBlock);
+    }
+    std::vector<BlockId> want;
+    for (BlockId b = 1050; b-- > 1009;)
+        if (b != 1020)
+            want.push_back(b);
+    EXPECT_EQ(lru, want);
 }
 
 TEST(BufferCache, PrefillOrderSetsLru)

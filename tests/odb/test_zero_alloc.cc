@@ -22,6 +22,7 @@
 
 #include "../support/mini_odb.hh"
 #include "db/buffer_cache.hh"
+#include "db/database.hh"
 #include "db/lock_manager.hh"
 #include "db/trace.hh"
 #include "odb/planner.hh"
@@ -390,6 +391,35 @@ TEST(ZeroAlloc, BufferCacheIndexReservedForFrameCount)
     const std::uint64_t allocs = rig.db.bufferCache().mapAllocations();
     rig.sys.runFor(100 * tickPerMs);
     EXPECT_EQ(rig.db.bufferCache().mapAllocations(), allocs);
+}
+
+/**
+ * Instant warm-up makes a small constant number of heap allocations
+ * whatever the frame count: the dedupe is a flat bitmap and the
+ * hottest-first list is reserved once, so no per-block node container
+ * can creep back in. Both frame counts are below the default schema's
+ * warm set at 10 warehouses, so both warm-ups fill every frame.
+ */
+TEST(ZeroAlloc, InstantWarmAllocationsIndependentOfFrameCount)
+{
+    const auto warmAllocations = [](std::uint64_t frames) {
+        db::DatabaseConfig cfg;
+        cfg.schema.warehouses = 10;
+        cfg.sgaFrames = frames;
+        os::System sys(test::miniSystemConfig());
+        db::Database db(sys, cfg);
+        const std::uint64_t before =
+            g_newCalls.load(std::memory_order_relaxed);
+        db.instantWarm();
+        const std::uint64_t calls =
+            g_newCalls.load(std::memory_order_relaxed) - before;
+        EXPECT_EQ(db.bufferCache().residentBlocks(), frames);
+        return calls;
+    };
+    const std::uint64_t small = warmAllocations(4096);
+    const std::uint64_t large = warmAllocations(65536);
+    EXPECT_EQ(small, large);
+    EXPECT_LE(large, 8u);
 }
 
 } // namespace

@@ -57,6 +57,18 @@ TEST(FlatMap, FindOrInsertReportsInsertion)
     EXPECT_FALSE(inserted);
 }
 
+TEST(FlatMap, PrefetchChangesNoState)
+{
+    FlatMap<std::uint64_t, std::uint32_t> m;
+    m.findOrInsert(3) = 30;
+    m.prefetch(3);
+    m.prefetch(4);
+    EXPECT_EQ(m.size(), 1u);
+    EXPECT_EQ(m.find(4), nullptr);
+    ASSERT_NE(m.find(3), nullptr);
+    EXPECT_EQ(*m.find(3), 30u);
+}
+
 TEST(FlatMap, IndexAccessors)
 {
     FlatMap<std::uint64_t, std::uint32_t> m;
