@@ -1,6 +1,7 @@
 #include "cpu/core.hh"
 
 #include <algorithm>
+#include <bit>
 #include <optional>
 
 #include "sim/logging.hh"
@@ -19,6 +20,8 @@ CpuCore::CpuCore(unsigned id, const CoreConfig &cfg,
                  mem::MemorySystem &memsys, std::uint64_t seed,
                  unsigned mem_cpu_id)
     : id_(id), memId_(mem_cpu_id == ~0u ? id : mem_cpu_id), cfg_(cfg),
+      strideShift_(static_cast<unsigned>(std::countr_zero(
+          lineBytes * std::uint64_t{cfg.samplePeriod}))),
       clock_(cfg.freqHz), memsys_(memsys),
       rng_(seed ^ (0x9e3779b97f4a7c15ULL * (id + 1)))
 {
@@ -30,26 +33,14 @@ CpuCore::CpuCore(unsigned id, const CoreConfig &cfg,
                   "mem cpu id out of range");
 }
 
-CpuCore::RegionStream
-CpuCore::makeStream(Addr base, std::uint64_t bytes, std::uint64_t stride)
-{
-    RegionStream s;
-    s.lines = std::max<std::uint64_t>(1, bytes / stride);
-    s.linesD = static_cast<double>(s.lines);
-    // Align the region base itself to the sampled-line grid so reuse
-    // across work items of the same region is exact.
-    s.alignedBase = base / stride * stride;
-    return s;
-}
-
 Addr
-CpuCore::sampleStream(const RegionStream &s, double exp,
-                      std::uint64_t stride)
+CpuCore::sampleStream(const RegionStream &s, double exp)
 {
     // Pick among the region's *sampled* lines (every S-th line) with a
     // power-law concentration toward the region start.
     const double u = rng_.uniform();
-    return s.alignedBase + hotSetIndex(u, exp, s.lines, s.linesD) * stride;
+    return s.alignedBase + (hotSetIndex(u, exp, s.lines, s.linesD)
+                            << s.strideShift);
 }
 
 double
@@ -79,7 +70,8 @@ ExecResult
 CpuCore::execute(const WorkItem &item, Tick now, double cycle_scale)
 {
     const double k = static_cast<double>(cfg_.samplePeriod);
-    const std::uint64_t stride = lineBytes * cfg_.samplePeriod;
+    const unsigned shift = strideShift_;
+    const std::uint64_t stride = std::uint64_t{1} << shift;
     const auto mode = item.mode;
     ModeCpuCounters &ctr = counters_[mode];
     const double instr = static_cast<double>(item.instructions);
@@ -113,12 +105,11 @@ CpuCore::execute(const WorkItem &item, Tick now, double cycle_scale)
     std::uint64_t n_code = static_cast<std::uint64_t>(codeCarry_);
     codeCarry_ -= static_cast<double>(n_code);
     if (n_code) {
-        const RegionStream code = makeStream(
+        const RegionStream code = makeRegionStream(
             item.codeBase, std::max<std::uint64_t>(item.codeBytes, stride),
-            stride);
+            shift);
         for (std::uint64_t i = 0; i < n_code; ++i) {
-            const Addr addr =
-                sampleStream(code, cfg_.codeHotExponent, stride);
+            const Addr addr = sampleStream(code, cfg_.codeHotExponent);
             const mem::AccessResult res =
                 accessRef(addr, mem::AccessKind::CodeFetch);
             cycles += stallCyclesFor(res, true) * k;
@@ -141,25 +132,25 @@ CpuCore::execute(const WorkItem &item, Tick now, double cycle_scale)
 
     if (n_data) {
         const RegionStream priv =
-            makeStream(item.privateBase, item.privateBytes, stride);
+            makeRegionStream(item.privateBase, item.privateBytes, shift);
         const RegionStream shared =
-            makeStream(item.sharedBase, item.sharedBytes, stride);
-        const RegionStream frame = makeStream(
+            makeRegionStream(item.sharedBase, item.sharedBytes, shift);
+        const RegionStream frame = makeRegionStream(
             item.frameAddr,
-            std::max<std::uint32_t>(item.frameBytes, lineBytes), stride);
+            std::max<std::uint32_t>(item.frameBytes, lineBytes), shift);
         for (std::uint64_t i = 0; i < n_data; ++i) {
             double pick = rng_.uniform() * total_weight;
             Addr addr;
             bool write;
             if ((pick -= wp) < 0.0) {
-                addr = sampleStream(priv, cfg_.dataHotExponent, stride);
+                addr = sampleStream(priv, cfg_.dataHotExponent);
                 write = rng_.chance(cfg_.privateWriteFraction);
             } else if ((pick -= ws) < 0.0) {
-                addr = sampleStream(shared, cfg_.dataHotExponent, stride);
+                addr = sampleStream(shared, cfg_.dataHotExponent);
                 write = rng_.chance(0.10);
             } else {
                 // The frame stream's exponent is 1.0: pure identity.
-                addr = sampleStream(frame, 1.0, stride);
+                addr = sampleStream(frame, 1.0);
                 write = rng_.chance(cfg_.frameWriteFraction);
             }
             const mem::AccessResult res =
@@ -174,7 +165,7 @@ CpuCore::execute(const WorkItem &item, Tick now, double cycle_scale)
     // preserved exactly).
     for (unsigned r = 0; r < item.numRefs; ++r) {
         const DataRef &ref = item.refs[r];
-        Addr first = (ref.addr + stride - 1) / stride * stride;
+        const Addr first = firstSampledLine(ref.addr, shift);
         const Addr end = ref.addr + std::max<std::uint32_t>(ref.bytes, 1);
         for (Addr a = first; a < end; a += stride) {
             const mem::AccessResult res =

@@ -106,6 +106,50 @@ hotSetIndex(double u, double exp, std::uint64_t lines, double lines_d)
     return std::min(idx, lines - 1);
 }
 
+/**
+ * Per-WorkItem invariants of one region stream, hoisted out of the
+ * per-reference loops: the sampled-line grid alignment and line count
+ * depend only on (base, bytes, stride).
+ */
+struct RegionStream
+{
+    Addr alignedBase = 0;
+    std::uint64_t lines = 1;
+    double linesD = 1.0;
+    /** log2 of the sampled-line stride. */
+    unsigned strideShift = 0;
+};
+
+/**
+ * The stream over [base, base + bytes) on the sampled-line grid of
+ * stride 1 << @p stride_shift: max(1, bytes / stride) lines from
+ * base / stride * stride. The stride is a power of two (line size
+ * times the sample factor), so both divisions are shifts and masks.
+ */
+inline RegionStream
+makeRegionStream(Addr base, std::uint64_t bytes, unsigned stride_shift)
+{
+    RegionStream s;
+    s.lines = std::max<std::uint64_t>(1, bytes >> stride_shift);
+    s.linesD = static_cast<double>(s.lines);
+    // Align the region base itself to the sampled-line grid so reuse
+    // across work items of the same region is exact.
+    s.alignedBase = base & ~((Addr{1} << stride_shift) - 1);
+    s.strideShift = stride_shift;
+    return s;
+}
+
+/**
+ * The first sampled line at or above @p addr:
+ * (addr + stride - 1) / stride * stride for stride 1 << @p stride_shift.
+ */
+inline Addr
+firstSampledLine(Addr addr, unsigned stride_shift)
+{
+    const Addr mask = (Addr{1} << stride_shift) - 1;
+    return (addr + mask) & ~mask;
+}
+
 /** Result of executing one WorkItem. */
 struct ExecResult
 {
@@ -156,31 +200,19 @@ class CpuCore
     void resetCounters() { counters_.reset(); }
 
   private:
-    /**
-     * Per-WorkItem invariants of one region stream, hoisted out of the
-     * per-reference loops: the sampled-line grid alignment and line
-     * count depend only on (base, bytes, stride), so computing them
-     * once per item removes two 64-bit divisions per reference.
-     */
-    struct RegionStream
-    {
-        Addr alignedBase = 0;
-        std::uint64_t lines = 1;
-        double linesD = 1.0;
-    };
-
-    static RegionStream makeStream(Addr base, std::uint64_t bytes,
-                                   std::uint64_t stride);
     /** A sampled-line address within the stream, hot-skewed by @p exp
      *  (see hotSetIndex()). */
-    Addr sampleStream(const RegionStream &s, double exp,
-                      std::uint64_t stride);
+    Addr sampleStream(const RegionStream &s, double exp);
 
     double stallCyclesFor(const mem::AccessResult &res, bool is_code) const;
 
     unsigned id_;
     unsigned memId_;
     CoreConfig cfg_;
+    /** log2 of the sampled-line stride, lineBytes * samplePeriod
+     *  (a power of two: samplePeriod equals the MemorySystem's sample
+     *  factor, which asserts it). */
+    unsigned strideShift_;
     ClockDomain clock_;
     mem::MemorySystem &memsys_;
     Rng rng_;

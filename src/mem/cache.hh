@@ -50,11 +50,25 @@ struct CacheAccessResult
     Addr evictedLineAddr = 0;
 };
 
+/** What SetAssocCache::probeLine() saw of one line. */
+struct LineProbe
+{
+    /** The line is resident. */
+    bool present = false;
+    /** It is resident with its owned bit set. */
+    bool owned = false;
+};
+
 /**
  * Tag-store set-associative cache with true LRU.
  *
  * Victim choice on a miss: the highest-numbered invalid way if the set
  * has one, else the least recently used way.
+ *
+ * Each resident line also carries an *owned* bit for the single-CPU
+ * coherence directory (see CoherenceDirectory::bindL3): writes set it
+ * together with the dirty bit, markOwned() sets it alone, and it
+ * leaves with the line. It changes no hit, victim or counter.
  */
 class SetAssocCache
 {
@@ -76,15 +90,42 @@ class SetAssocCache
      * Access the cache, allocating on miss.
      *
      * @param addr Byte address of the reference.
-     * @param is_write Marks the line dirty on hit or fill.
+     * @param is_write Marks the line dirty and owned on hit or fill.
      */
     CacheAccessResult access(Addr addr, bool is_write);
 
     /** Check for presence without updating LRU or allocating. */
-    bool probe(Addr addr) const;
+    bool probe(Addr addr) const { return probeLine(addr).present; }
 
     /** Probe and report whether the resident line is dirty. */
-    bool probeDirty(Addr addr) const;
+    bool
+    probeDirty(Addr addr) const
+    {
+        const std::uint64_t *m = lookup(addr);
+        return m && (*m & dirtyBit);
+    }
+
+    /** Probe presence and the owned bit at once (no LRU update). */
+    LineProbe
+    probeLine(Addr addr) const
+    {
+        const std::uint64_t *m = lookup(addr);
+        return LineProbe{m != nullptr, m && (*m & ownedBit)};
+    }
+
+    /**
+     * Set the owned bit of a resident line, leaving its dirty bit, LRU
+     * rank and the counters alone.
+     * @return whether the line was resident.
+     */
+    bool
+    markOwned(Addr addr)
+    {
+        std::uint64_t *m = lookup(addr);
+        if (m)
+            *m |= ownedBit;
+        return m != nullptr;
+    }
 
     /**
      * Invalidate a line if present.
@@ -122,22 +163,33 @@ class SetAssocCache
      * The tag store is a structure of arrays, each laid out set by set
      * (set s owns entries [s * assoc, (s + 1) * assoc)):
      *
-     *  - meta_: one word per way, tag << tagShift | dirtyBit? |
-     *    validBit?. The tag is addr >> (line shift + set shift), so
-     *    its top two bits are free for realistic address spaces, and
-     *    one compare against tag << tagShift | validBit (dirty masked
-     *    out) tests valid and tag together.
-     *  - rank_: one 8-bit recency rank per way, 0 = most recently
+     *  - meta_: one word per way, tag << tagShift | ownedBit? |
+     *    dirtyBit? | validBit?. The tag is addr >> (line shift + set
+     *    shift), so its top three bits are free for realistic address
+     *    spaces, and one compare against tag << tagShift | validBit
+     *    (flags masked out) tests valid and tag together.
+     *  - ranks: one 8-bit recency rank per way, 0 = most recently
      *    used. A set's ranks are always a permutation of 0..assoc-1;
      *    touching way w moves every way ranked above it (a smaller
      *    rank) down one place and puts w at rank 0. Ranks therefore
      *    order the valid ways exactly as per-way last-touch
      *    timestamps would: every valid way was touched at its fill,
      *    and a touch preserves the relative order of all other ways.
+     *    An 8-way set's ranks are one word (bits [8w, 8w + 8) hold
+     *    way w's rank), updated with SWAR arithmetic in one load and
+     *    one store; other associativities use byte loops.
+     *
+     * access() and lookup() dispatch once on the associativity to
+     * bodies specialized for the paper machines' 8 (Xeon L2/L3,
+     * Itanium2 L2), 12 (Itanium2 L3) and 16 (CMP L3) ways, whose
+     * per-way loops unroll; any other associativity runs the same
+     * bodies with a runtime bound.
      */
     static constexpr std::uint64_t validBit = 1;
     static constexpr std::uint64_t dirtyBit = 2;
-    static constexpr unsigned tagShift = 2;
+    static constexpr std::uint64_t ownedBit = 4;
+    static constexpr std::uint64_t flagBits = dirtyBit | ownedBit;
+    static constexpr unsigned tagShift = 3;
 
     std::uint64_t
     setIndex(Addr addr) const
@@ -150,11 +202,26 @@ class SetAssocCache
     {
         return ((tag << setShift_) | set) << lineShift_;
     }
-    /** The way of @p meta (one set) holding @p want, or assoc if none. */
-    std::uint32_t findWay(const std::uint64_t *meta,
-                          std::uint64_t want) const;
-    /** Make @p way the most recently used of its set's @p rank. */
-    void touch(std::uint8_t *rank, std::uint32_t way);
+    /** The meta word holding @p addr's line, or nullptr. */
+    const std::uint64_t *lookup(Addr addr) const;
+    std::uint64_t *
+    lookup(Addr addr)
+    {
+        return const_cast<std::uint64_t *>(
+            static_cast<const SetAssocCache *>(this)->lookup(addr));
+    }
+
+    /**
+     * The way of @p meta (one set of @p Ways ways, or of @p ways when
+     * Ways == 0) holding @p want, or the way count if none.
+     */
+    template <unsigned Ways>
+    static std::uint32_t findWay(const std::uint64_t *meta,
+                                 std::uint64_t want, std::uint32_t ways);
+
+    /** access() for @p Ways ways; Ways == 0 reads assoc_ at run time. */
+    template <unsigned Ways>
+    CacheAccessResult accessWays(Addr addr, bool is_write);
 
     std::string name_;
     CacheGeometry geom_;
@@ -164,7 +231,9 @@ class SetAssocCache
     unsigned tagAddrShift_;
     std::uint64_t setMask_;
     std::vector<std::uint64_t> meta_;
-    std::vector<std::uint8_t> rank_;
+    /** LRU ranks: one word per 8-way set, else assoc bytes per set
+     *  viewed through an std::uint8_t pointer. */
+    std::vector<std::uint64_t> rank_;
     std::uint64_t valid_ = 0;
 
     std::uint64_t accesses_ = 0;

@@ -37,7 +37,10 @@ CoherenceDirectory::onFill(unsigned cpu, Addr line_addr, bool is_write)
     if (is_write) {
         const std::uint32_t remote = e.sharers & ~self;
         out.invalidateMask = remote;
-        invalidations_ += std::popcount(remote);
+        // Guarded: without a popcnt target, std::popcount is a libgcc
+        // call, and most fills have no remote sharer.
+        if (remote)
+            invalidations_ += std::popcount(remote);
         e.sharers = self;
         e.modifiedOwner = static_cast<std::int16_t>(cpu);
     } else {
@@ -55,7 +58,8 @@ CoherenceDirectory::onWriteHit(unsigned cpu, Addr line_addr)
     LineState &e = table_.findOrInsert(line_addr);
     const std::uint32_t self = 1u << cpu;
     const std::uint32_t remote = e.sharers & ~self;
-    invalidations_ += std::popcount(remote);
+    if (remote)
+        invalidations_ += std::popcount(remote);
     e.sharers = self;
     e.modifiedOwner = static_cast<std::int16_t>(cpu);
     return remote;
@@ -75,9 +79,35 @@ CoherenceDirectory::touchSolo(Addr line_addr, bool is_write)
     }
 }
 
+void
+CoherenceDirectory::bindL3(const SetAssocCache &l3, unsigned compress_shift,
+                           unsigned line_shift)
+{
+    odbsim_assert(numCpus_ == 1 && table_.size() == 0,
+                  "only an empty single-CPU directory can be implicit");
+    l3_ = &l3;
+    compressShift_ = compress_shift;
+    lineShift_ = line_shift;
+}
+
+void
+CoherenceDirectory::ownOutsideL3(Addr line_addr)
+{
+    LineState &e = table_.findOrInsert(line_addr);
+    e.sharers = 1u;
+    e.modifiedOwner = 0;
+}
+
 SnoopState
 CoherenceDirectory::snoop(Addr line_addr) const
 {
+    if (l3_) {
+        const LineProbe p = l3_->probeLine(
+            (line_addr >> compressShift_) << lineShift_);
+        if (p.present)
+            return SnoopState{true, 1u,
+                              static_cast<std::int16_t>(p.owned ? 0 : -1)};
+    }
     const LineState *s = table_.find(line_addr);
     if (!s)
         return SnoopState{};

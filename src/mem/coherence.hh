@@ -17,6 +17,11 @@
  * generation stamping. After warm-up the table performs zero heap
  * allocations — growth only happens while the tracked-line population
  * reaches a new high-water mark (observable via tableAllocations()).
+ *
+ * A single-CPU, single-socket machine makes its directory implicit in
+ * the L3 tag store instead (bindL3): its table then only holds the few
+ * lines written in L2 while absent from L3, and L3 hits and evictions
+ * skip the directory entirely.
  */
 
 #ifndef ODBSIM_MEM_COHERENCE_HH
@@ -26,6 +31,7 @@
 #include <cstdint>
 #include <limits>
 
+#include "mem/cache.hh"
 #include "sim/flat_map.hh"
 #include "sim/types.hh"
 
@@ -85,13 +91,73 @@ class CoherenceDirectory
      * `remoteDirty` is always false. The only work left is keeping the
      * line *tracked* so snoop(), onDmaFill() and trackedLines() stay
      * bit-identical to the general path. Callers must only use this
-     * on a directory constructed with num_cpus == 1 (asserted in
-     * debug builds).
+     * on a directory constructed with num_cpus == 1 (asserted). A
+     * single-socket machine uses the implicit form instead (bindL3);
+     * this explicit one serves one CPU on a multi-socket topology.
      */
     void touchSolo(Addr line_addr, bool is_write);
 
+    /**
+     * Make this single-CPU directory implicit in the L3 tag store
+     * @p l3, whose lines are the CPU's sampled lines compressed as
+     * (line >> @p compress_shift) << @p line_shift. From then on the
+     * caller drives it only through ownOutsideL3(), takeOutsideL3(),
+     * onDmaFill() and clear(); snoop() and trackedLines() answer from
+     * the tag store plus a side table.
+     *
+     * On one CPU an explicit entry is always {sharers 1, owner -1 or
+     * 0}, so it carries two facts: tracked, and owned (owner 0). The
+     * implicit form keeps them as
+     *
+     *   tracked(x) <=> x in L3 || x in side,  (side and L3 disjoint)
+     *   owned(x)   <=> x in side || (x in L3 && its owned bit is set)
+     *
+     * where side holds the lines written by an L2 hit while absent
+     * from L3. Each event preserves both, by induction from the empty
+     * state:
+     *  - L2 write hit: the explicit directory tracks x and owns it.
+     *    If x is in L3, markOwned() sets its bit; otherwise
+     *    ownOutsideL3() adds x to side. L2 read hits touch neither.
+     *  - L3 hit: x is in L3 (so not in side). The explicit fill keeps
+     *    x tracked and owns it on a write; access() sets the owned bit
+     *    with the dirty bit on writes and leaves it on reads.
+     *  - L3 miss: the explicit fill tracks x, owned if it was owned
+     *    before (then x was in side, as it was not in L3) or on a
+     *    write. The caller moves x from side into L3:
+     *    takeOutsideL3() erases it, and when it was there markOwned()
+     *    carries the bit over; access() sets it on a write.
+     *  - L3 eviction of v: the explicit directory drops v (its only
+     *    sharer left, and the owner with it). v was in L3, so not in
+     *    side: leaving L3 untracks it with no directory call. A
+     *    shared L3's inclusive eviction is the same.
+     *  - DMA of x: snoop() answers from L3 or side, the caller
+     *    invalidates x in L2 and L3, and onDmaFill() erases it from
+     *    side, so x is untracked as in the explicit directory.
+     *  - flush: the caches flush and clear() empties side.
+     * Nothing else may change the bound L3's lines; that is why
+     * CpuCacheHierarchy::invalidateLine() and flush() are private to
+     * MemorySystem.
+     */
+    void bindL3(const SetAssocCache &l3, unsigned compress_shift,
+                unsigned line_shift);
+
+    /** Whether bindL3() made this directory implicit. */
+    bool implicit() const { return l3_ != nullptr; }
+
+    /** Implicit mode: an L2 write hit on @p line, absent from L3. */
+    void ownOutsideL3(Addr line_addr);
+
+    /**
+     * Implicit mode: @p line is being filled into L3; drop it from the
+     * side table. @return whether it was there (then it is owned).
+     */
+    bool takeOutsideL3(Addr line_addr) { return table_.erase(line_addr); }
+
     /** Look up the residency of a line without changing state. */
     SnoopState snoop(Addr line_addr) const;
+
+    /** Hint that @p line_addr is about to be looked up. */
+    void prefetch(Addr line_addr) const { table_.prefetch(line_addr); }
 
     /** A line silently left @p cpu's L3 (eviction). */
     void onEviction(unsigned cpu, Addr line_addr);
@@ -103,7 +169,11 @@ class CoherenceDirectory
     void clear();
 
     /** Lines currently tracked. */
-    std::size_t trackedLines() const { return table_.size(); }
+    std::size_t
+    trackedLines() const
+    {
+        return table_.size() + (l3_ ? l3_->validLines() : 0);
+    }
 
     /**
      * Pre-size the table for @p lines tracked lines so the warm-up
@@ -161,7 +231,14 @@ class CoherenceDirectory
                   "sharers bitmask is 32 bits wide");
 
     unsigned numCpus_;
+    /** Explicit mode: every tracked line. Implicit mode: the side
+     *  table, each entry {sharers 1, owner 0}. */
     Table table_;
+    /** @name Implicit mode (bindL3) @{ */
+    const SetAssocCache *l3_ = nullptr;
+    unsigned compressShift_ = 0;
+    unsigned lineShift_ = 0;
+    /** @} */
     std::uint64_t coherenceMisses_ = 0;
     std::uint64_t invalidations_ = 0;
 };

@@ -97,7 +97,9 @@ MemorySystem::MemorySystem(unsigned num_cpus,
       singleCpu_(num_cpus == 1),
       sockets_(topo.sockets < 1 ? 1u : topo.sockets),
       cpusPerSocket_((num_cpus + sockets_ - 1) / sockets_),
-      multiSocket_(sockets_ > 1), bus_(bus_cfg), directory_(num_cpus)
+      multiSocket_(sockets_ > 1),
+      implicitDir_(singleCpu_ && !multiSocket_), bus_(bus_cfg),
+      directory_(num_cpus)
 {
     odbsim_assert(num_cpus >= 1, "need at least one CPU");
     odbsim_assert(sample_factor >= 1 &&
@@ -147,9 +149,17 @@ MemorySystem::MemorySystem(unsigned num_cpus,
 
     // Pre-size the directories for the lines the caches can keep
     // resident so warm-up performs no rehash (perf hint only; the
-    // tables still grow on demand).
-    for (CoherenceDirectory *d : dirs_)
-        d->reserve(num_cpus * (l3.numLines() + l2.numLines()));
+    // tables still grow on demand). An implicit directory's table only
+    // holds lines written in L2 while absent from L3.
+    if (implicitDir_) {
+        const CpuCacheHierarchy &h = *cpus_[0];
+        directory_.bindL3(sharedL3_ ? *sharedL3_ : h.l3_, h.compressShift_,
+                          h.lineShift_);
+        directory_.reserve(l2.numLines());
+    } else {
+        for (CoherenceDirectory *d : dirs_)
+            d->reserve(num_cpus * (l3.numLines() + l2.numLines()));
+    }
 }
 
 void
@@ -198,12 +208,19 @@ MemorySystem::accessImpl(CpuCacheHierarchy &h, MemCounters &ctr,
 
     // Dirty victims from L2 are assumed to hit L3 (tag-store
     // approximation); only L3 victims produce bus writebacks.
+    SetAssocCache &l3 = sharedL3_ ? *sharedL3_ : h.l3_;
     if (h.l2_.access(caddr, is_write).hit) {
         if (is_write) {
-            if (singleCpu_) {
-                // P=1 fast path: onWriteHit's remote mask is provably
-                // empty (sharers can only be bit 0), so only the
-                // directory's tracking state needs to advance.
+            if (implicitDir_) {
+                // The implicit directory owns the line through its L3
+                // tag, or through the side table when L3 lost it (see
+                // CoherenceDirectory::bindL3).
+                if (!l3.markOwned(caddr))
+                    directory_.ownOutsideL3(line);
+            } else if (singleCpu_) {
+                // Multi-socket P=1: onWriteHit's remote mask is
+                // provably empty (sharers can only be bit 0), so only
+                // the directory's tracking state needs to advance.
                 dirFor(line).touchSolo(line, true);
             } else {
                 std::uint32_t mask = dirFor(line).onWriteHit(cpu_id, line);
@@ -219,20 +236,25 @@ MemorySystem::accessImpl(CpuCacheHierarchy &h, MemCounters &ctr,
         return res;
     }
     ctr.l2Misses += weight;
+    // Every single-socket SMP L2 miss ends in onFill for this line:
+    // start loading its directory slot while the L3 tag store runs.
+    if (!singleCpu_ && !multiSocket_)
+        directory_.prefetch(line);
 
-    SetAssocCache &l3 = sharedL3_ ? *sharedL3_ : h.l3_;
     const CacheAccessResult l3res = l3.access(caddr, is_write);
     if (l3res.evicted) {
         // Map the victim back to its original (uncompressed) line
-        // address for the directory.
+        // address for the directory. An implicit directory forgets the
+        // victim with its L3 tag.
         const Addr victim_line = h.decompressLine(l3res.evictedLineAddr);
         if (sharedL3_) {
             // Inclusive shared L3: evicting a line removes every
             // core's L2 copy and its directory state.
             for (auto &c : cpus_)
                 c->l2_.invalidate(l3res.evictedLineAddr);
-            directory_.onDmaFill(victim_line);
-        } else {
+            if (!implicitDir_)
+                directory_.onDmaFill(victim_line);
+        } else if (!implicitDir_) {
             dirFor(victim_line).onEviction(cpu_id, victim_line);
         }
         if (l3res.evictedDirty) {
@@ -252,8 +274,12 @@ MemorySystem::accessImpl(CpuCacheHierarchy &h, MemCounters &ctr,
     if (l3res.hit) {
         if (singleCpu_) {
             // P=1: a fill by the only CPU can neither observe a remote
-            // dirty copy nor need invalidations; track the line only.
-            dirFor(line).touchSolo(line, is_write);
+            // dirty copy nor need invalidations. The implicit
+            // directory already tracks the line through its L3 tag
+            // (access() set the owned bit on a write); a multi-socket
+            // one records it.
+            if (!implicitDir_)
+                dirFor(line).touchSolo(line, is_write);
             res.servicedBy = ServicedBy::L3;
             return res;
         }
@@ -293,8 +319,10 @@ MemorySystem::accessImpl(CpuCacheHierarchy &h, MemCounters &ctr,
     if (singleCpu_) {
         // P=1: an L3 miss is always serviced by memory — remoteDirty
         // is impossible, so no cache-to-cache transfer or extra
-        // writeback can occur.
-        directory_.touchSolo(line, is_write);
+        // writeback can occur. A line the side table owned carries
+        // its ownership into its new L3 tag.
+        if (directory_.takeOutsideL3(line))
+            l3.markOwned(caddr);
         res.servicedBy = ServicedBy::Memory;
         res.memStallExtraCycles = bus_.queueWaitCycles();
         bus_.addLineTransfers(static_cast<double>(weight));

@@ -153,12 +153,6 @@ class CpuCacheHierarchy
     /** Zero the counters and the tag-store statistics. */
     void resetCounters();
 
-    /** Invalidate one line in both levels. */
-    void invalidateLine(Addr line_addr);
-
-    /** Drop all cached state. */
-    void flush();
-
     /** The scaled tag stores (read-only). @{ */
     const SetAssocCache &l2() const { return l2_; }
     const SetAssocCache &l3() const { return l3_; }
@@ -166,6 +160,17 @@ class CpuCacheHierarchy
 
   private:
     friend class MemorySystem;
+
+    /**
+     * Invalidate one line in both levels. Private to MemorySystem: a
+     * single-CPU directory is implicit in the L3 tag store
+     * (CoherenceDirectory::bindL3), so only MemorySystem, which keeps
+     * that directory in step, may drop lines. @{
+     */
+    void invalidateLine(Addr line_addr);
+    /** Drop all cached state. */
+    void flush();
+    /** @} */
 
     unsigned cpuId_;
     SetAssocCache l2_;
@@ -249,7 +254,9 @@ class MemorySystem
     const FrontSideBus &bus() const { return bus_; }
     /** @} */
 
-    /** Socket 0's coherence directory (the only one at S=1). @{ */
+    /** Socket 0's coherence directory (the only one at S=1). With one
+     *  CPU on one socket it is implicit in the L3 tag store
+     *  (CoherenceDirectory::bindL3). @{ */
     CoherenceDirectory &directory() { return directory_; }
     const CoherenceDirectory &directory() const { return directory_; }
     /** @} */
@@ -411,6 +418,9 @@ class MemorySystem
     unsigned sockets_;       ///< Socket count S (>= 1).
     unsigned cpusPerSocket_; ///< ceil(P / S).
     bool multiSocket_;       ///< S > 1: topology paths engaged.
+    /** Single socket and P=1: the directory is implicit in the L3 tag
+     *  store (CoherenceDirectory::bindL3). */
+    bool implicitDir_;
     /** @} */
     std::vector<std::unique_ptr<CpuCacheHierarchy>> cpus_;
     /** The on-die shared L3 (CMP mode only). */

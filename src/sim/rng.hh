@@ -11,6 +11,7 @@
 #ifndef ODBSIM_SIM_RNG_HH
 #define ODBSIM_SIM_RNG_HH
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -25,10 +26,29 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        // 53 random mantissa bits -> uniform in [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi);
@@ -40,7 +60,7 @@ class Rng
     std::int64_t range(std::int64_t lo, std::int64_t hi);
 
     /** Bernoulli trial with probability p of true. */
-    bool chance(double p);
+    bool chance(double p) { return uniform() < p; }
 
     /** Exponentially distributed value with the given mean. */
     double exponential(double mean);

@@ -232,6 +232,31 @@ TEST(CpuCore, MismatchedSampleFactorPanics)
     EXPECT_DEATH({ CpuCore core(0, cfg, ms, 1); }, "must match");
 }
 
+TEST(CpuCore, StreamGeometryMatchesDivision)
+{
+    // The shift-and-mask stream geometry against the division formula
+    // it replaced, at every power-of-two sample period the presets
+    // can use, with bases and sizes from small to near 2^64.
+    Rng rng(0x5717de);
+    for (std::uint64_t period = 1; period <= 64; period *= 2) {
+        const std::uint64_t stride = 64 * period;
+        const auto shift = static_cast<unsigned>(std::countr_zero(stride));
+        for (int i = 0; i < 20000; ++i) {
+            const Addr base = rng.next() >> rng.below(64);
+            const std::uint64_t bytes = rng.next() >> rng.below(64);
+            const RegionStream s = makeRegionStream(base, bytes, shift);
+            ASSERT_EQ(s.alignedBase, base / stride * stride)
+                << "period " << period << " base " << base;
+            ASSERT_EQ(s.lines, std::max<std::uint64_t>(1, bytes / stride))
+                << "period " << period << " bytes " << bytes;
+            ASSERT_EQ(s.linesD, static_cast<double>(s.lines));
+            ASSERT_EQ(firstSampledLine(base, shift),
+                      (base + stride - 1) / stride * stride)
+                << "period " << period << " base " << base;
+        }
+    }
+}
+
 /** Property: cycles scale linearly with instruction count. */
 class CoreLinearityProperty : public ::testing::TestWithParam<int>
 {

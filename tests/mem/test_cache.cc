@@ -205,7 +205,8 @@ INSTANTIATE_TEST_SUITE_P(
 /**
  * Reference tag store: the 16-byte {meta, lastUse} line layout with a
  * 64-bit use clock that SetAssocCache's rank-based LRU replaced. Same
- * public contract; kept here only as the differential oracle.
+ * public contract, owned bit included; kept here only as the
+ * differential oracle.
  */
 class TimestampLruCache
 {
@@ -226,10 +227,10 @@ class TimestampLruCache
         Line *victim = base;
         for (std::uint32_t w = 0; w < geom_.assoc; ++w) {
             Line &line = base[w];
-            if ((line.meta & ~dirtyBit) == want) {
+            if ((line.meta & ~flagBits) == want) {
                 line.lastUse = useClock_;
                 if (is_write)
-                    line.meta |= dirtyBit;
+                    line.meta |= flagBits;
                 return CacheAccessResult{true, false, false, 0};
             }
             if (!line.valid())
@@ -250,7 +251,7 @@ class TimestampLruCache
         } else {
             ++valid_;
         }
-        victim->meta = want | (is_write ? dirtyBit : 0);
+        victim->meta = want | (is_write ? flagBits : 0);
         victim->lastUse = useClock_;
         return res;
     }
@@ -262,6 +263,22 @@ class TimestampLruCache
     {
         const Line *line = find(addr);
         return line && line->dirty();
+    }
+
+    LineProbe
+    probeLine(Addr addr) const
+    {
+        const Line *line = find(addr);
+        return LineProbe{line != nullptr, line && (line->meta & ownedBit)};
+    }
+
+    bool
+    markOwned(Addr addr)
+    {
+        Line *line = const_cast<Line *>(find(addr));
+        if (line)
+            line->meta |= ownedBit;
+        return line != nullptr;
     }
 
     bool
@@ -294,7 +311,9 @@ class TimestampLruCache
   private:
     static constexpr std::uint64_t validBit = 1;
     static constexpr std::uint64_t dirtyBit = 2;
-    static constexpr unsigned tagShift = 2;
+    static constexpr std::uint64_t ownedBit = 4;
+    static constexpr std::uint64_t flagBits = dirtyBit | ownedBit;
+    static constexpr unsigned tagShift = 3;
 
     struct Line
     {
@@ -317,7 +336,7 @@ class TimestampLruCache
         const Line *base = &lines_[setIndex(addr) * geom_.assoc];
         const std::uint64_t want = (tagOf(addr) << tagShift) | validBit;
         for (std::uint32_t w = 0; w < geom_.assoc; ++w) {
-            if ((base[w].meta & ~dirtyBit) == want)
+            if ((base[w].meta & ~flagBits) == want)
                 return &base[w];
         }
         return nullptr;
@@ -413,6 +432,51 @@ TEST_P(TagStoreDifferential, MatchesTimestampLru)
         } else {
             dut.resetStats();
             ref.resetStats();
+        }
+        ASSERT_TRUE(sameState(dut, ref)) << "after step " << step;
+    }
+}
+
+TEST_P(TagStoreDifferential, OwnedBitMatchesTimestampLru)
+{
+    // The same stream shape with markOwned() and probeLine() mixed in:
+    // the owned bit rides with writes and markOwned(), leaves with the
+    // line, and never changes a hit, a victim or a counter.
+    const CacheGeometry geom = GetParam();
+    SetAssocCache dut("dut", geom);
+    TimestampLruCache ref(geom);
+    Rng rng(0x0b17 + geom.assoc * 131 + geom.lineBytes);
+    const std::uint64_t pool = geom.numLines() * 2 + 3;
+    constexpr int steps = 100000;
+    for (int step = 0; step < steps; ++step) {
+        const double u = rng.uniform();
+        const Addr line = static_cast<Addr>(u * u * pool);
+        const Addr addr =
+            line * geom.lineBytes + rng.below(geom.lineBytes);
+        const std::uint64_t op = rng.below(1000);
+        if (op < 600) {
+            const bool write = rng.chance(0.2);
+            ASSERT_TRUE(sameResult(dut.access(addr, write),
+                                   ref.access(addr, write)))
+                << "access at step " << step;
+        } else if (op < 750) {
+            ASSERT_EQ(dut.markOwned(addr), ref.markOwned(addr))
+                << "markOwned at step " << step;
+        } else if (op < 900) {
+            const LineProbe got = dut.probeLine(addr);
+            const LineProbe want = ref.probeLine(addr);
+            ASSERT_EQ(got.present, want.present)
+                << "probeLine at step " << step;
+            ASSERT_EQ(got.owned, want.owned)
+                << "probeLine at step " << step;
+            ASSERT_EQ(dut.probeDirty(addr), ref.probeDirty(addr))
+                << "probeDirty at step " << step;
+        } else if (op < 999) {
+            ASSERT_EQ(dut.invalidate(addr), ref.invalidate(addr))
+                << "invalidate at step " << step;
+        } else {
+            dut.flush();
+            ref.flush();
         }
         ASSERT_TRUE(sameState(dut, ref)) << "after step " << step;
     }

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/hierarchy.hh"
 
 namespace
@@ -301,6 +303,106 @@ TEST(MemorySystem, SingleCpuDmaInvalidationStillWorks)
     EXPECT_TRUE(ms.access(0, sline(3), AccessKind::DataRead,
                           ExecMode::User, 0)
                     .l3Miss());
+}
+
+/** Every snoop() field of lines [0, n) agrees between two systems. */
+::testing::AssertionResult
+sameSnoops(const MemorySystem &a, const MemorySystem &b, std::uint64_t n)
+{
+    for (std::uint64_t k = 0; k < n; ++k) {
+        const SnoopState sa = a.directory().snoop(sline(k));
+        const SnoopState sb = b.directory().snoop(sline(k));
+        if (sa.tracked != sb.tracked || sa.sharers != sb.sharers ||
+            sa.modifiedOwner != sb.modifiedOwner)
+            return ::testing::AssertionFailure()
+                   << "line " << k << ": tracked " << sa.tracked << "/"
+                   << sb.tracked << " sharers " << sa.sharers << "/"
+                   << sb.sharers << " owner " << sa.modifiedOwner << "/"
+                   << sb.modifiedOwner;
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST(MemorySystem, SoloImplicitDirectoryMatchesIdleSecondCpu)
+{
+    // A 1-CPU system keeps its directory implicit in the L3 tag store;
+    // a 2-CPU system whose CPU 1 stays idle keeps an explicit one. A
+    // few hot lines stay in L2 while a stream over 4x the L3 evicts
+    // them from L3, so L2 write hits land in the side table and
+    // refills carry its ownership back; DMA and flushes interleave.
+    struct Shape
+    {
+        const char *name;
+        HierarchyConfig hier;
+    };
+    std::vector<Shape> shapes(3);
+    shapes[0].name = "8-way L3";
+    shapes[0].hier.l2 = {16 * KiB, 8, 64};
+    shapes[0].hier.l3 = {64 * KiB, 8, 64};
+    shapes[1].name = "Itanium2 12-way L3";
+    shapes[1].hier.l2 = {16 * KiB, 8, 64};
+    shapes[1].hier.l3 = {192 * KiB, 12, 64};
+    shapes[2].name = "CMP shared 16-way L3";
+    shapes[2].hier.l2 = {16 * KiB, 8, 64};
+    shapes[2].hier.l3 = {128 * KiB, 16, 64};
+    shapes[2].hier.sharedL3 = true;
+
+    for (const Shape &shape : shapes) {
+        SCOPED_TRACE(shape.name);
+        MemorySystem solo(1, shape.hier, quietBus(), S);
+        MemorySystem duo(2, shape.hier, quietBus(), S);
+        ASSERT_TRUE(solo.directory().implicit());
+        ASSERT_FALSE(duo.directory().implicit());
+        constexpr std::uint64_t hot = 4;
+        const std::uint64_t stream = 4 * shape.hier.l3.numLines() / S;
+        const std::uint64_t universe = hot + stream;
+        std::uint64_t side_seen = 0;
+        std::uint64_t x = 0x1eaf5eed;
+        for (int i = 0; i < 60'000; ++i) {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if (i % 20'000 == 19'999) {
+                solo.flushAll();
+                duo.flushAll();
+            }
+            if (i % 97 == 0) {
+                const Addr base = sline(x % universe);
+                const std::uint64_t bytes = 64 * S * (1 + (x >> 20) % 4);
+                solo.dmaFill(base, bytes, 0);
+                duo.dmaFill(base, bytes, 0);
+            }
+            const Addr addr = x % 2 == 0 ? sline((x >> 8) % hot)
+                                         : sline(hot + (x >> 8) % stream);
+            const AccessKind kind =
+                (x >> 40) % 3 == 0   ? AccessKind::DataWrite
+                : (x >> 40) % 7 == 1 ? AccessKind::CodeFetch
+                                     : AccessKind::DataRead;
+            const auto ra = solo.access(0, addr, kind, ExecMode::User, 0);
+            const auto rb = duo.access(0, addr, kind, ExecMode::User, 0);
+            ASSERT_EQ(ra.servicedBy, rb.servicedBy) << "ref " << i;
+            ASSERT_EQ(solo.directory().trackedLines(),
+                      duo.directory().trackedLines())
+                << "ref " << i;
+            side_seen += !shape.hier.sharedL3 &&
+                         solo.directory().trackedLines() >
+                             solo.cpu(0).l3().validLines();
+            if (i % 1000 == 0) {
+                ASSERT_TRUE(sameSnoops(solo, duo, universe)) << "ref " << i;
+            }
+        }
+        expectSameCounters(solo.cpu(0).counters(ExecMode::User),
+                           duo.cpu(0).counters(ExecMode::User));
+        EXPECT_EQ(solo.cpu(0).l3().misses(), duo.cpu(0).l3().misses());
+        EXPECT_TRUE(sameSnoops(solo, duo, universe));
+        EXPECT_EQ(solo.directory().coherenceMisses(), 0u);
+        EXPECT_EQ(solo.directory().invalidationsSent(), 0u);
+        // The private-L3 shapes must exercise the side table; a shared
+        // L3 is inclusive, so its L2 never holds a line L3 lost.
+        if (!shape.hier.sharedL3) {
+            EXPECT_GT(side_seen, 0u);
+        }
+    }
 }
 
 /** Parameterized: every power-of-two sample factor behaves sanely. */

@@ -22,6 +22,40 @@ TEST(Rng, DeterministicForSameSeed)
         EXPECT_EQ(a.next(), b.next());
 }
 
+TEST(Rng, KnownAnswerSequence)
+{
+    // Pinned outputs for one seed: the stream every simulated result
+    // depends on must not change when the generator's code moves.
+    constexpr std::uint64_t seed = 0x5eed0db5ULL;
+    const std::uint64_t next[16] = {
+        0xe485f3beefd20ac1ULL, 0xfb9db682a0e8ac0cULL, 0x19e1b8e349f0a481ULL,
+        0x75c0f0658aeab8c3ULL, 0xf63f9f255f1d4904ULL, 0x8496998c4fa55ea9ULL,
+        0x7b8b9d0c4f59b29dULL, 0x8c586e1bdfa5e0b7ULL, 0xa9ea0457a0654d46ULL,
+        0x0b2b931eb77fa281ULL, 0xffd1b99baeb76c0fULL, 0x87574840ecd1ad6fULL,
+        0x81f99a3fc7b34705ULL, 0xc0852f3496ff18f0ULL, 0x1844534845c55f94ULL,
+        0xfeea66889264d4f7ULL};
+    const double uniform[16] = {
+        0x1.c90be77ddfa41p-1, 0x1.f73b6d0541d15p-1, 0x1.9e1b8e349f0ap-4,
+        0x1.d703c1962baaep-2, 0x1.ec7f3e4abe3a9p-1, 0x1.092d33189f4abp-1,
+        0x1.ee2e74313d66cp-2, 0x1.18b0dc37bf4bcp-1, 0x1.53d408af40ca9p-1,
+        0x1.657263d6eff4p-5,  0x1.ffa373375d6edp-1, 0x1.0eae9081d9a35p-1,
+        0x1.03f3347f8f668p-1, 0x1.810a5e692dfe3p-1, 0x1.844534845c558p-4,
+        0x1.fdd4cd1124c9ap-1};
+    const bool chance[16] = {false, false, true,  false, false, false,
+                             false, false, false, true,  false, false,
+                             false, false, true,  false};
+    const std::uint64_t below[16] = {892, 982, 101, 459, 961, 517,
+                                     482, 548, 663, 43,  999, 528,
+                                     507, 752, 94,  995};
+    Rng a(seed), b(seed), c(seed), d(seed);
+    for (int i = 0; i < 16; ++i) {
+        EXPECT_EQ(a.next(), next[i]) << "next #" << i;
+        EXPECT_EQ(b.uniform(), uniform[i]) << "uniform #" << i;
+        EXPECT_EQ(c.chance(0.3), chance[i]) << "chance #" << i;
+        EXPECT_EQ(d.below(1000), below[i]) << "below #" << i;
+    }
+}
+
 TEST(Rng, DifferentSeedsDiffer)
 {
     Rng a(1), b(2);
