@@ -34,11 +34,10 @@
 #include <cinttypes>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/experiment.hh"
-#include "sim/thread_pool.hh"
+#include "sim/parallel_for.hh"
 
 namespace
 {
@@ -162,22 +161,11 @@ main(int argc, char **argv)
                      grid[k].mttrMs);
     };
 
-    unsigned jobs = bench::studyJobs();
-    if (jobs == 0) {
-        jobs = std::thread::hardware_concurrency();
-        if (jobs == 0)
-            jobs = 1;
-    }
+    const unsigned jobs = bench::studyJobs();
     std::fprintf(stderr,
                  "[bench] measuring %zu fault points (jobs=%u)...\n",
                  kTotal, jobs);
-    if (jobs <= 1) {
-        for (std::size_t k = 0; k < kTotal; ++k)
-            runPoint(k);
-    } else {
-        ThreadPool pool(jobs);
-        pool.parallelFor(kTotal, runPoint);
-    }
+    sim::parallelFor(jobs, kTotal, runPoint);
 
     // --- CSV (deterministic; diffed serial-vs-parallel by the smoke
     // script) ---

@@ -5,8 +5,8 @@
  * Section 6 piecewise-linear models and pivot points.
  *
  * Grid points are independent simulations (each derives every RNG
- * stream from its own seed), so the sweep can be executed by a worker
- * pool; see StudyConfig::jobs. The StudyResult is bit-identical for
+ * stream from its own seed), so the sweep can run them on several host
+ * threads; see StudyConfig::jobs. The StudyResult is bit-identical for
  * any jobs value.
  */
 
@@ -46,27 +46,17 @@ struct StudyConfig
      *  per-point streams are derived from it plus the configuration). */
     RunKnobs knobs;
     /**
-     * Host worker threads used to execute grid points concurrently.
+     * Host threads used to execute grid points concurrently
+     * (sim::parallelFor).
      *
-     * 0 = one worker per hardware thread (auto); 1 = the legacy serial
-     * path; N>1 = a fixed pool of N workers. The StudyResult is
+     * 0 = one thread per hardware thread (auto); 1 = the serial path,
+     * in grid order; N>1 = N threads claiming points longest-first
+     * (largest warehouses × processors first). The StudyResult is
      * bit-identical for every value — points are independent and are
      * collected by grid index, not completion order. Only the
      * invocation order of onPoint changes.
      */
     unsigned jobs = 1;
-    /**
-     * Per-point seed replicas (the paper's six-repeat methodology),
-     * hierarchically decomposed under jobs: each grid point measures
-     * @c repeats replicas with derived seeds and stores their
-     * aggregateRuns() mean. 1 (default) is the legacy single-run path,
-     * byte-for-byte. With jobs > 1 the replicas of a point run as
-     * nested tasks on the same worker pool (repeatRun's nested
-     * fan-out), so the largest grid point no longer floors the sweep's
-     * wall clock; results stay bit-identical at any job count because
-     * replicas are collected by replica index before aggregation.
-     */
-    unsigned repeats = 1;
     /**
      * Optional progress callback (per finished configuration).
      *
@@ -75,20 +65,6 @@ struct StudyConfig
      * completion order rather than grid order.
      */
     std::function<void(const RunResult &)> onPoint;
-    /**
-     * Optional per-point cost estimate (any monotone unit — seconds,
-     * events, …) used to dispatch grid points longest-first on the
-     * parallel path, which minimizes makespan when point costs are
-     * uneven (classic LPT scheduling). Absent, the estimate defaults
-     * to warehouses × processors, which tracks simulated work well.
-     *
-     * Scheduling only: the StudyResult is bit-identical for any hint
-     * (results are collected by grid index). A natural source is a
-     * previous run's `*_profile.csv` sidecar via
-     * loadStudyProfileCsv() — see bench_common's sharedStudy().
-     */
-    std::function<double(unsigned warehouses, unsigned processors)>
-        costHint;
 };
 
 /** @brief All measurements for one processor count. */
@@ -144,10 +120,10 @@ class ScalingStudy
     /**
      * @brief Measure every (warehouses, processors) grid point.
      *
-     * With cfg.jobs != 1 the independent points are dispatched to a
-     * ThreadPool, longest-estimated-first (see StudyConfig::costHint);
-     * results land in their grid slot regardless of completion order,
-     * so the returned StudyResult is bit-identical to the serial path.
+     * With cfg.jobs != 1 the independent points run on
+     * sim::parallelFor, largest W × P first; results land in their
+     * grid slot regardless of completion order, so the returned
+     * StudyResult is bit-identical to the serial path.
      * A failure (fatal/panic) in any point terminates the process
      * exactly as in the serial path.
      */

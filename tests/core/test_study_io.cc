@@ -145,65 +145,31 @@ TEST(StudyIo, MissingFileFailsCleanly)
     EXPECT_FALSE(loadStudyCsv("/nonexistent/odbsim.csv", out));
 }
 
-TEST(StudyIo, ProfileRoundTripPreservesPointCosts)
+TEST(StudyIo, ProfileCsvTextIsPinned)
 {
-    StudyResult study = sampleStudy();
-    double wall = 0.25;
-    std::uint64_t events = 1000;
-    for (auto &s : study.series) {
-        for (auto &p : s.points) {
-            p.wallSeconds = wall += 0.5;
-            p.eventsFired = events *= 3;
-        }
-    }
+    // The profile sidecar is an output only; pin its exact format.
+    StudyResult study;
+    StudySeries s;
+    s.processors = 2;
+    RunResult r;
+    r.processors = 2;
+    r.warehouses = 10;
+    r.wallSeconds = 0.5;
+    r.eventsFired = 1000;
+    s.points.push_back(r);
+    r.warehouses = 800;
+    r.wallSeconds = 1.25;
+    r.eventsFired = 123456789;
+    s.points.push_back(r);
+    study.series.push_back(s);
+
     std::stringstream buf;
     saveStudyProfileCsv(study, buf);
-    std::vector<PointProfile> out;
-    ASSERT_TRUE(loadStudyProfileCsv(buf, out));
-    ASSERT_EQ(out.size(), 6u);
-    std::size_t i = 0;
-    for (const auto &s : study.series) {
-        for (const auto &p : s.points) {
-            SCOPED_TRACE("row " + std::to_string(i));
-            EXPECT_EQ(out[i].processors, p.processors);
-            EXPECT_EQ(out[i].warehouses, p.warehouses);
-            EXPECT_NEAR(out[i].wallSeconds, p.wallSeconds, 1e-6);
-            EXPECT_EQ(out[i].eventsFired, p.eventsFired);
-            ++i;
-        }
-    }
-}
-
-TEST(StudyIo, ProfileRejectsStudyCsvHeader)
-{
-    // A profile sidecar path accidentally pointed at a study CSV (or
-    // vice versa) must fail cleanly, not misparse.
-    const StudyResult study = sampleStudy();
-    std::stringstream buf;
-    saveStudyCsv(study, buf);
-    std::vector<PointProfile> out;
-    EXPECT_FALSE(loadStudyProfileCsv(buf, out));
-    EXPECT_TRUE(out.empty());
-}
-
-TEST(StudyIo, ProfileRejectsMalformedRow)
-{
-    const StudyResult study = sampleStudy();
-    std::stringstream buf;
-    saveStudyProfileCsv(study, buf);
-    std::string text = buf.str();
-    text += "4,garbage\n";
-    std::stringstream corrupted(text);
-    std::vector<PointProfile> out;
-    EXPECT_FALSE(loadStudyProfileCsv(corrupted, out));
-    EXPECT_TRUE(out.empty());
-}
-
-TEST(StudyIo, ProfileMissingFileFailsCleanly)
-{
-    std::vector<PointProfile> out;
-    EXPECT_FALSE(loadStudyProfileCsv("/nonexistent/odbsim_profile.csv",
-                                     out));
+    EXPECT_EQ(buf.str(),
+              "processors,warehouses,wallSeconds,eventsFired,"
+              "eventsPerSec\n"
+              "2,10,0.5,1000,2000\n"
+              "2,800,1.25,123456789,9.87654e+07\n");
 }
 
 } // namespace

@@ -1,8 +1,8 @@
 /**
  * @file
  * Determinism contract of the parallel scaling-study executor: for the
- * same StudyConfig, jobs=1 (legacy serial path) and jobs=4 (worker
- * pool) must produce bit-identical StudyResults — every grid point is
+ * same StudyConfig, jobs=1 (serial path) and jobs=4 (four threads)
+ * must produce bit-identical StudyResults — every grid point is
  * an independent simulation whose RNG streams derive from the per-run
  * seed, and results are collected by grid index, not completion order.
  */
@@ -131,62 +131,6 @@ TEST(StudyParallel, SerialAndParallelResultsAreBitIdentical)
         for (std::size_t i = 0; i < s.points.size(); ++i) {
             SCOPED_TRACE("series " + std::to_string(s.processors) +
                          "P point " + std::to_string(i));
-            expectBitIdentical(s.points[i], p.points[i]);
-        }
-    }
-}
-
-TEST(StudyParallel, CostHintReordersDispatchButNotResults)
-{
-    // Longest-first dispatch is scheduling only: any cost hint — here
-    // one deliberately adversarial (reverse of the W×P default, so the
-    // cheapest points dispatch first) — must yield a StudyResult
-    // bit-identical to the serial path.
-    const StudyResult serial = ScalingStudy::run(smallGrid(1));
-
-    StudyConfig hinted_cfg = smallGrid(4);
-    hinted_cfg.costHint = [](unsigned w, unsigned p) {
-        return 1.0 / (static_cast<double>(w) * p);
-    };
-    const StudyResult hinted = ScalingStudy::run(hinted_cfg);
-
-    ASSERT_EQ(serial.series.size(), hinted.series.size());
-    for (std::size_t si = 0; si < serial.series.size(); ++si) {
-        const auto &s = serial.series[si];
-        const auto &h = hinted.series[si];
-        EXPECT_EQ(s.processors, h.processors);
-        ASSERT_EQ(s.points.size(), h.points.size());
-        for (std::size_t i = 0; i < s.points.size(); ++i) {
-            SCOPED_TRACE("series " + std::to_string(s.processors) +
-                         "P point " + std::to_string(i));
-            expectBitIdentical(s.points[i], h.points[i]);
-        }
-    }
-}
-
-TEST(StudyParallel, HierarchicalRepeatsAreBitIdenticalAcrossJobs)
-{
-    // StudyConfig::repeats decomposes each grid point into per-seed
-    // replicas that run as nested pool tasks when jobs > 1. The
-    // aggregated points must not depend on the job count: points are
-    // collected by grid index and replicas by replica index.
-    StudyConfig serial_cfg = smallGrid(1);
-    serial_cfg.warehouses = {10, 25};
-    serial_cfg.processors = {1};
-    serial_cfg.repeats = 2;
-    const StudyResult serial = ScalingStudy::run(serial_cfg);
-
-    StudyConfig parallel_cfg = serial_cfg;
-    parallel_cfg.jobs = 4;
-    const StudyResult parallel = ScalingStudy::run(parallel_cfg);
-
-    ASSERT_EQ(serial.series.size(), parallel.series.size());
-    for (std::size_t si = 0; si < serial.series.size(); ++si) {
-        const auto &s = serial.series[si];
-        const auto &p = parallel.series[si];
-        ASSERT_EQ(s.points.size(), p.points.size());
-        for (std::size_t i = 0; i < s.points.size(); ++i) {
-            SCOPED_TRACE("repeats point " + std::to_string(i));
             expectBitIdentical(s.points[i], p.points[i]);
         }
     }
