@@ -49,7 +49,6 @@ ImplicitBTree::lookup(std::uint64_t key) const
 
     // Walk from root (level height-1) down to the leaf (level 0); the
     // node index at level l is the leaf index divided by fanout^l.
-    std::uint64_t idx = leaf_idx;
     std::uint64_t divisor = 1;
     for (unsigned l = 1; l < height_; ++l)
         divisor *= fanout_;
@@ -60,8 +59,15 @@ ImplicitBTree::lookup(std::uint64_t key) const
         if (divisor == 0)
             divisor = 1;
     }
-    (void)idx;
     return path;
+}
+
+BlockId
+ImplicitBTree::leafOf(std::uint64_t key) const
+{
+    odbsim_assert(key < capacity_, "btree key ", key,
+                  " out of range (capacity ", capacity_, ")");
+    return levelBase_[0] + key / keysPerLeaf_;
 }
 
 } // namespace odbsim::db

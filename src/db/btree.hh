@@ -62,6 +62,13 @@ class ImplicitBTree
     /** Compute the root-to-leaf path for @p key (< capacity). */
     IndexPath lookup(std::uint64_t key) const;
 
+    /**
+     * Leaf block holding @p key (< capacity): lookup(key).leaf()
+     * without the root-to-leaf walk, for callers that need only the
+     * leaf (warm-up enumeration).
+     */
+    BlockId leafOf(std::uint64_t key) const;
+
     /** Nodes at @p level (0 = leaves). */
     std::uint64_t levelNodes(unsigned level) const
     {

@@ -40,7 +40,7 @@ BufferLookup
 BufferCache::lookup(BlockId b)
 {
     ++gets_;
-    const std::uint32_t *slot = map_.find(b);
+    const std::uint32_t *slot = map_.find(narrow(b));
     if (!slot) {
         ++misses_;
         return BufferLookup{false, 0};
@@ -54,7 +54,7 @@ BufferCache::lookup(BlockId b)
 BufferVictim
 BufferCache::allocate(BlockId b)
 {
-    odbsim_assert(map_.find(b) == nullptr,
+    odbsim_assert(map_.find(narrow(b)) == nullptr,
                   "allocate for already-resident block ", b);
     BufferVictim out;
 
@@ -78,10 +78,10 @@ BufferCache::allocate(BlockId b)
     }
 
     Frame &fr = frames_[f];
-    fr.block = b;
+    fr.block = narrow(b);
     fr.dirty = false;
     fr.ioPending = true;
-    map_.findOrInsert(b) = f;
+    map_.findOrInsert(fr.block) = f;
     pushFront(f);
     out.frame = f;
     return out;
@@ -108,13 +108,13 @@ BufferCache::prefill(BlockId b, bool dirty)
     // the slot a new one goes in. With a free frame the population is
     // below the reserved frame count, so this never rehashes.
     bool inserted;
-    std::uint32_t &slot = map_.findOrInsert(b, inserted);
+    std::uint32_t &slot = map_.findOrInsert(narrow(b), inserted);
     if (!inserted)
         return;
     const std::uint32_t f = static_cast<std::uint32_t>(nextFree_++);
     slot = f;
     Frame &fr = frames_[f];
-    fr.block = b;
+    fr.block = narrow(b);
     fr.dirty = dirty;
     fr.ioPending = false;
     pushFront(f);
@@ -123,7 +123,7 @@ BufferCache::prefill(BlockId b, bool dirty)
 void
 BufferCache::markClean(BlockId b)
 {
-    const std::uint32_t *f = map_.find(b);
+    const std::uint32_t *f = map_.find(narrow(b));
     if (f)
         frames_[*f].dirty = false;
 }

@@ -16,6 +16,11 @@
  * resident population can never exceed the frame count, so steady
  * state never rehashes and lookups are one Fibonacci-hashed probe
  * into a contiguous slot array (mapAllocations() observes this).
+ * Frames and index store block ids in 32 bits — a 16-byte frame and
+ * an 8-byte index slot, both static_asserted — while the API keeps
+ * BlockId; Database construction checks once that the schema's
+ * blocks fit (about 397,000 warehouses of the paper geometry), so
+ * lookups narrow without a check.
  * metaAddr()'s bucket fold over the non-power-of-two frame count is a
  * precomputed exact fastmod rather than a 64-bit hardware divide.
  */
@@ -25,7 +30,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
+#include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "db/types.hh"
@@ -74,7 +80,7 @@ class BufferCache
     BufferLookup
     peek(BlockId b) const
     {
-        const std::uint32_t *f = map_.find(b);
+        const std::uint32_t *f = map_.find(narrow(b));
         if (!f)
             return BufferLookup{false, 0};
         return BufferLookup{true, *f};
@@ -99,10 +105,10 @@ class BufferCache
         return frames_[frame].dirty;
     }
 
-    /** Block currently held by @p frame. */
+    /** Block currently held by @p frame; invalidBlock when empty. */
     BlockId blockAt(std::uint64_t frame) const
     {
-        return frames_[frame].block;
+        return widen(frames_[frame].block);
     }
 
     /**
@@ -115,20 +121,24 @@ class BufferCache
     /**
      * Warm-up helper: prefill() every block of @p hottest_first,
      * coldest first, so the hottest block ends up at MRU; @p dirty(b)
-     * gives each block's dirty bit. The index slot and generation
-     * stamp of the block 16 positions on are prefetched, so the
-     * random index inserts overlap instead of stalling one cache miss
-     * at a time.
+     * gives each block's dirty bit. The list (a vector or span) holds
+     * BlockIds or their 32-bit narrowing. The index slot and
+     * generation stamp of the block 16 positions on are prefetched,
+     * so the random index inserts overlap instead of stalling one
+     * cache miss at a time.
      */
-    template <typename DirtyFn>
+    template <typename Ids, typename DirtyFn>
     void
-    prefillColdestFirst(std::span<const BlockId> hottest_first,
-                        DirtyFn &&dirty)
+    prefillColdestFirst(const Ids &hottest_first, DirtyFn &&dirty)
     {
+        using Id = typename Ids::value_type;
+        static_assert(std::is_same_v<Id, BlockId> ||
+                          std::is_same_v<Id, std::uint32_t>,
+                      "warm lists hold 64- or 32-bit block ids");
         constexpr std::size_t ahead = 16;
         for (std::size_t i = hottest_first.size(); i-- > 0;) {
             if (i >= ahead)
-                map_.prefetch(hottest_first[i - ahead]);
+                map_.prefetch(narrow(hottest_first[i - ahead]));
             const BlockId b = hottest_first[i];
             prefill(b, dirty(b));
         }
@@ -179,15 +189,42 @@ class BufferCache
      */
     std::uint64_t mapAllocations() const { return map_.allocations(); }
 
+    /**
+     * Largest block id a frame can hold: frames and the index store
+     * ids in 32 bits, with all-ones reserved as the empty marker.
+     * Database construction rejects a schema whose blocks do not fit.
+     */
+    static constexpr BlockId maxBlock =
+        std::numeric_limits<std::uint32_t>::max() - 1;
+
   private:
+    /** A frame's 32-bit block id when it holds none. */
+    static constexpr std::uint32_t emptyBlock32 = maxBlock + 1;
+
+    static std::uint32_t
+    narrow(BlockId b)
+    {
+        return static_cast<std::uint32_t>(b);
+    }
+    static BlockId
+    widen(std::uint32_t b)
+    {
+        return b == emptyBlock32 ? invalidBlock : b;
+    }
+
     struct Frame
     {
-        BlockId block = invalidBlock;
+        std::uint32_t block = emptyBlock32;
         bool dirty = false;
         bool ioPending = false;
         std::uint32_t prev = 0;
         std::uint32_t next = 0;
     };
+    using Index = sim::FlatMap<std::uint32_t, std::uint32_t>;
+    static_assert(sizeof(Frame) == 16,
+                  "buffer-cache frame must stay packed");
+    static_assert(sizeof(Index::Slot) == 8,
+                  "buffer-cache index slot must stay packed");
 
     void unlink(std::uint32_t f);
     void pushFront(std::uint32_t f);
@@ -195,7 +232,7 @@ class BufferCache
     /** Frames, plus the LRU list's head/tail anchor at index
      *  totalFrames_. */
     std::vector<Frame> frames_;
-    sim::FlatMap<BlockId, std::uint32_t> map_;
+    Index map_;
     sim::FastMod64 frameMod_;
     std::uint64_t totalFrames_ = 0;
     std::uint32_t sentinel_ = 0;

@@ -20,6 +20,21 @@ Database::Database(os::System &sys, const DatabaseConfig &cfg)
 std::uint64_t
 Database::resolveFrames(const DatabaseConfig &cfg, const Schema &schema)
 {
+    // The buffer cache keeps block ids in 32 bits; check the schema
+    // fits once here, before the cache is built, so the replay path
+    // needs no per-lookup check.
+    const std::uint64_t max_blocks = BufferCache::maxBlock + 1;
+    if (schema.totalBlocks() > max_blocks) {
+        const double max_warehouses =
+            static_cast<double>(max_blocks) * schema.warehouses() /
+            static_cast<double>(schema.totalBlocks());
+        odbsim_fatal("a W=", schema.warehouses(), " schema spans ",
+                     schema.totalBlocks(), " blocks, past the buffer "
+                     "cache's 32-bit block ids (", max_blocks,
+                     " blocks, about ",
+                     static_cast<std::uint64_t>(max_warehouses),
+                     " warehouses of this geometry)");
+    }
     if (cfg.sgaFrames)
         return cfg.sgaFrames;
     const double frames = cfg.cacheWarehouseEquivalents *
@@ -44,10 +59,12 @@ Database::instantWarm(const std::vector<std::uint32_t> &active_warehouses,
     // and are skipped by the prefill. A bitmap over the block-id
     // space dedupes the enumeration, so the whole warm-up makes a
     // constant number of heap allocations whatever the frame count.
+    // Block ids fit 32 bits (checked at construction), which halves
+    // the hot list.
     const std::uint64_t total = schema_.totalBlocks();
     const std::uint64_t budget =
         bufcache_.numFrames() - bufcache_.residentBlocks();
-    std::vector<BlockId> hot;
+    std::vector<std::uint32_t> hot;
     hot.reserve(std::min(budget, total));
     std::vector<std::uint64_t> seen((total + 63) / 64);
     schema_.enumerateWarm(
@@ -58,7 +75,7 @@ Database::instantWarm(const std::vector<std::uint32_t> &active_warehouses,
             const std::uint64_t bit = std::uint64_t{1} << (b & 63);
             if (!(word & bit)) {
                 word |= bit;
-                hot.push_back(b);
+                hot.push_back(static_cast<std::uint32_t>(b));
             }
             return hot.size() < budget;
         },

@@ -42,6 +42,10 @@ constexpr std::uint32_t noIdxKeysPerLeaf = 500;
 constexpr std::uint32_t idxFanout = 250;
 /** @} */
 
+/** Largest initial reserve of a row-state table: 2^14 entries, which
+ *  FlatMap's 7/8 load bound rounds to 32,768 slots. */
+constexpr std::uint64_t maxStateReserve = std::uint64_t{1} << 14;
+
 std::uint64_t
 heapBlocks(std::uint64_t rows, std::uint32_t rows_per_block)
 {
@@ -108,12 +112,15 @@ Schema::Schema(const SchemaConfig &cfg)
 
     // Size the lazily materialized state for the skew-favoured
     // working set (hot customers and stock the mix keeps revisiting)
-    // so warm-up materializes it without a rehash. The tables still
-    // grow past this as a long run's populations climb, but only at
-    // high-water marks (see stateAllocations()).
-    liveOrders_.reserve(dd * 64);
-    stockQty_.reserve(w * 1024);
-    custBalance_.reserve(dd * 64);
+    // so warm-up materializes it without a rehash. The populations
+    // follow the transactions run, not W (a full scaled run fills a
+    // few thousand entries even at 800 warehouses), so the reserve is
+    // capped: at large W a W-sized reserve would zero-fill a million
+    // slots per table that no run touches. Past the cap the tables
+    // grow only at high-water marks (see stateAllocations()).
+    liveOrders_.reserve(std::min<std::uint64_t>(dd * 64, maxStateReserve));
+    stockQty_.reserve(std::min<std::uint64_t>(w * 1024, maxStateReserve));
+    custBalance_.reserve(std::min<std::uint64_t>(dd * 64, maxStateReserve));
 }
 
 double
@@ -517,15 +524,15 @@ Schema::enumerateWarm(const std::function<bool(BlockId)> &cb,
             if (r < d_cnt) {
                 const std::uint64_t key = customerKey(
                     w, static_cast<std::uint32_t>(r), 0);
-                if (!cb(custIdx_->lookup(key).leaf()))
+                if (!cb(custIdx_->leafOf(key)))
                     return;
-                if (!cb(nameIdx_->lookup(key).leaf()))
+                if (!cb(nameIdx_->leafOf(key)))
                     return;
             }
             if (r < hot_stock_leaves) {
                 const std::uint64_t key =
                     stockKey(w, 0) + r * stockIdxKeysPerLeaf;
-                if (!cb(stockIdx_->lookup(key).leaf()))
+                if (!cb(stockIdx_->leafOf(key)))
                     return;
             }
         }
@@ -548,11 +555,9 @@ Schema::enumerateWarm(const std::function<bool(BlockId)> &cb,
                 if (!cb(b))
                     return;
             }
-            if (!cb(ordersIdx_->lookup(orderKey(w, d, nextDelivery_[dd]))
-                        .leaf()))
+            if (!cb(ordersIdx_->leafOf(orderKey(w, d, nextDelivery_[dd]))))
                 return;
-            if (!cb(noIdx_->lookup(newOrderKey(w, d, nextOid_[dd]))
-                        .leaf()))
+            if (!cb(noIdx_->leafOf(newOrderKey(w, d, nextOid_[dd]))))
                 return;
         }
     }
@@ -575,19 +580,19 @@ Schema::enumerateWarm(const std::function<bool(BlockId)> &cb,
             if (r < cil_per_w) {
                 const std::uint64_t key =
                     customerKey(w, 0, 0) + r * custIdxKeysPerLeaf;
-                if (!cb(custIdx_->lookup(key).leaf()))
+                if (!cb(custIdx_->leafOf(key)))
                     return;
             }
             if (r < nil_per_w) {
                 const std::uint64_t key =
                     customerKey(w, 0, 0) + r * nameIdxKeysPerLeaf;
-                if (!cb(nameIdx_->lookup(key).leaf()))
+                if (!cb(nameIdx_->leafOf(key)))
                     return;
             }
             if (r < sil_per_w) {
                 const std::uint64_t key =
                     stockKey(w, 0) + r * stockIdxKeysPerLeaf;
-                if (!cb(stockIdx_->lookup(key).leaf()))
+                if (!cb(stockIdx_->leafOf(key)))
                     return;
             }
             if (r < cust_per_w) {

@@ -8,7 +8,9 @@
  * (block, slot) via fixed per-table geometry, and indexes are
  * ImplicitBTrees, so an 800-warehouse database (millions of blocks)
  * costs O(warehouses) memory. Mutable state (sequence counters, stock
- * quantities, balances) is materialized lazily.
+ * quantities, balances) is materialized lazily; its tables start at
+ * most 32,768 slots each, since a run fills a few thousand entries
+ * whatever W is.
  *
  * Geometry summary (blocks per warehouse, at the default row sizes):
  * customer heap 2500, stock heap 4000, orders 32, order-line 300,
@@ -22,6 +24,8 @@
 #ifndef ODBSIM_DB_SCHEMA_HH
 #define ODBSIM_DB_SCHEMA_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -202,16 +206,25 @@ class Schema
     /**
      * Growth events of the lazily materialized row-state tables
      * (live orders, stock quantities, customer balances). The tables
-     * are reserved from the warehouse count at construction, so this
-     * only advances when the materialized population outgrows that
-     * initial sizing — planner steady state over a stable working set
-     * must keep it flat.
+     * are reserved from the warehouse count at construction, capped
+     * at 2^14 entries, so this only advances when the materialized
+     * population outgrows that initial sizing — planner steady state
+     * over a stable working set must keep it flat.
      */
     std::uint64_t
     stateAllocations() const
     {
         return liveOrders_.allocations() + stockQty_.allocations() +
                custBalance_.allocations();
+    }
+
+    /** Slot counts of the live-order, stock-quantity and
+     *  customer-balance tables (footprint test hook). */
+    std::array<std::size_t, 3>
+    stateSlots() const
+    {
+        return {liveOrders_.capacity(), stockQty_.capacity(),
+                custBalance_.capacity()};
     }
 
     /**
@@ -259,8 +272,9 @@ class Schema
      * Orders created during the run (others are derived), and the
      * lazily materialized stock quantities / balances. Flat tables on
      * the planner hot path; reserved from the warehouse count in the
-     * constructor so the warm working set materializes without a
-     * rehash. @{
+     * constructor, capped at 2^14 entries (32,768 slots), so the warm
+     * working set materializes without a rehash while host memory
+     * follows the run rather than the key domain. @{
      */
     sim::FlatMap<std::uint64_t, OrderInfo> liveOrders_;
     sim::FlatMap<std::uint64_t, std::int32_t> stockQty_;

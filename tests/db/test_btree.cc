@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <tuple>
 
 #include "db/btree.hh"
 
@@ -15,6 +16,16 @@ namespace
 
 using namespace odbsim;
 using namespace odbsim::db;
+
+/** Capacity, keys per leaf, fanout. */
+using Geometry = std::tuple<std::uint64_t, std::uint32_t, std::uint32_t>;
+
+/** A single leaf, a leaf boundary, the schema's index shapes up to
+ *  800 warehouses' customers, and an odd small fanout. */
+const Geometry geometries[] = {
+    {1, 300, 250},       {299, 300, 250},      {30000, 300, 250},
+    {1000000, 400, 250}, {24000000, 300, 250}, {12345, 70, 30},
+};
 
 TEST(ImplicitBTree, SingleLeafTree)
 {
@@ -91,6 +102,18 @@ TEST(ImplicitBTree, OutOfRangeKeyPanics)
 {
     ImplicitBTree t(0, 100, 10, 10);
     EXPECT_DEATH({ t.lookup(100); }, "out of range");
+    EXPECT_DEATH({ t.leafOf(100); }, "out of range");
+}
+
+TEST(ImplicitBTree, LeafOfMatchesLookupLeaf)
+{
+    for (const auto &[cap, per_leaf, fanout] : geometries) {
+        const ImplicitBTree t(1000, cap, per_leaf, fanout);
+        for (std::uint64_t k = 0; k < cap; ++k) {
+            ASSERT_EQ(t.leafOf(k), t.lookup(k).leaf())
+                << "capacity " << cap << " key " << k;
+        }
+    }
 }
 
 /**
@@ -98,9 +121,7 @@ TEST(ImplicitBTree, OutOfRangeKeyPanics)
  * leaf extent covers all leaves, and sequential key ranges partition
  * cleanly into leaves.
  */
-class BTreeGeomProperty
-    : public ::testing::TestWithParam<
-          std::tuple<std::uint64_t, std::uint32_t, std::uint32_t>>
+class BTreeGeomProperty : public ::testing::TestWithParam<Geometry>
 {
 };
 
@@ -140,13 +161,7 @@ TEST_P(BTreeGeomProperty, LevelNodeCountsShrinkByFanout)
     EXPECT_EQ(t.levelNodes(t.height() - 1), 1u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Geometries, BTreeGeomProperty,
-    ::testing::Values(std::make_tuple(1ull, 300u, 250u),
-                      std::make_tuple(299ull, 300u, 250u),
-                      std::make_tuple(30000ull, 300u, 250u),
-                      std::make_tuple(1000000ull, 400u, 250u),
-                      std::make_tuple(24000000ull, 300u, 250u),
-                      std::make_tuple(12345ull, 70u, 30u)));
+INSTANTIATE_TEST_SUITE_P(Geometries, BTreeGeomProperty,
+                         ::testing::ValuesIn(geometries));
 
 } // namespace

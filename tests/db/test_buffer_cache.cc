@@ -182,6 +182,39 @@ TEST(BufferCache, PrefillColdestFirstPutsHottestAtMru)
     EXPECT_EQ(lru, want);
 }
 
+TEST(BufferCache, PrefillColdestFirstTakesNarrowIds)
+{
+    // The warm-up's 32-bit hot list fills the cache exactly as the
+    // same list of 64-bit BlockIds does.
+    std::vector<BlockId> wide;
+    std::vector<std::uint32_t> narrow;
+    for (std::uint32_t i = 0; i < 40; ++i) {
+        wide.push_back(BufferCache::maxBlock - 7 * i);
+        narrow.push_back(static_cast<std::uint32_t>(wide.back()));
+    }
+    const auto dirty = [](BlockId b) { return b % 3 == 0; };
+    BufferCache a(32), b(32);
+    a.prefillColdestFirst(wide, dirty);
+    b.prefillColdestFirst(narrow, dirty);
+    for (const BlockId id : wide) {
+        const BufferLookup la = a.peek(id), lb = b.peek(id);
+        ASSERT_EQ(la.hit, lb.hit) << id;
+        if (la.hit) {
+            EXPECT_EQ(la.frame, lb.frame) << id;
+            EXPECT_EQ(b.blockAt(lb.frame), id);
+            EXPECT_EQ(a.isDirty(la.frame), b.isDirty(lb.frame)) << id;
+        }
+    }
+}
+
+TEST(BufferCache, BlockAtEmptyFrameIsInvalid)
+{
+    BufferCache bc(8);
+    bc.prefill(BufferCache::maxBlock);
+    EXPECT_EQ(bc.blockAt(0), BufferCache::maxBlock);
+    EXPECT_EQ(bc.blockAt(1), invalidBlock);
+}
+
 TEST(BufferCache, PrefillOrderSetsLru)
 {
     BufferCache bc(8);

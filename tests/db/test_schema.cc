@@ -250,6 +250,25 @@ TEST(Schema, ReadableBlocksScaleRoughlyLinearly)
                 0.35 * s2.readableBlocksPerWarehouse());
 }
 
+TEST(Schema, RowStateSlotsCappedAtScaledW)
+{
+    // Small W keeps its warehouse-derived reserve: 640 and 1024
+    // entries per warehouse.
+    SchemaConfig cached;
+    cached.warehouses = 10;
+    const auto [orders, stock, balances] = Schema(cached).stateSlots();
+    EXPECT_EQ(orders, 8192u);
+    EXPECT_EQ(stock, 16384u);
+    EXPECT_EQ(balances, 8192u);
+
+    // A run fills a few thousand entries whatever W is, so a scaled
+    // schema starts at the 2^14-entry cap, not a million slots each.
+    SchemaConfig scaled;
+    scaled.warehouses = 800;
+    for (const std::size_t slots : Schema(scaled).stateSlots())
+        EXPECT_LE(slots, 32768u);
+}
+
 /** Property: row addressing round-trips for random keys across W. */
 class SchemaAddressProperty : public ::testing::TestWithParam<unsigned>
 {
