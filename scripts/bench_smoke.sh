@@ -33,8 +33,7 @@ perf_gate="${ODBSIM_PERF_GATE:-strict}"
 echo "== configure + build (Release) =="
 cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$build_dir" -j "$(nproc)" --target \
-    bench_hotpath bench_fig09_cpi bench_fig19_itanium2 bench_islands \
-    bench_faults
+    bench_hotpath bench_fig09_cpi bench_fig19_itanium2
 
 echo "== hot-path baseline (1.5x queue gate, 1.3x directory gate) =="
 out_json="$build_dir/BENCH_hotpath.json"
@@ -95,37 +94,6 @@ ODBSIM_CSV_DIR="$cache_jobs3" "$build_dir/bench/bench_fig09_cpi" \
 ODBSIM_CSV_DIR="$cache_jobs3" "$build_dir/bench/bench_fig19_itanium2" \
     --jobs 3 > /dev/null
 check_goldens "$cache_jobs3" "jobs3"
-
-echo "== islands deployment sweep (serial vs --jobs 0 must be bit-identical) =="
-# The sweep self-checks its crossover physics (exit 3 on failure); the
-# serial and parallel CSVs are then diffed for the determinism
-# contract. The islands CSV is derived output, not a committed golden.
-ODBSIM_CSV_DIR="$cache_serial" "$build_dir/bench/bench_islands" > /dev/null
-ODBSIM_CSV_DIR="$cache_parallel" "$build_dir/bench/bench_islands" -j 0 > /dev/null
-if diff -q "$cache_serial/odbsim_islands_xeon-quad-mp.csv" \
-        "$cache_parallel/odbsim_islands_xeon-quad-mp.csv" > /dev/null; then
-    echo "OK  odbsim_islands_xeon-quad-mp.csv is bit-identical (serial vs parallel)"
-else
-    echo "FAIL odbsim_islands_xeon-quad-mp.csv differs between serial and parallel runs" >&2
-    status=1
-fi
-
-echo "== fault degradation study (serial vs --jobs 0 must be bit-identical) =="
-# The study self-checks its degradation physics (exit 3 on failure):
-# monotone tps decay with the fault scale and recovery back to >= 95%
-# of the pre-crash rate. The serial and parallel CSVs are then diffed
-# for the determinism contract. Note the scale-0 baseline rows inside
-# the CSV run with the default (inert) fault plan, so this section
-# also exercises the inertness path end to end.
-ODBSIM_CSV_DIR="$cache_serial" "$build_dir/bench/bench_faults" > /dev/null
-ODBSIM_CSV_DIR="$cache_parallel" "$build_dir/bench/bench_faults" -j 0 > /dev/null
-if diff -q "$cache_serial/odbsim_faults_xeon-quad-mp.csv" \
-        "$cache_parallel/odbsim_faults_xeon-quad-mp.csv" > /dev/null; then
-    echo "OK  odbsim_faults_xeon-quad-mp.csv is bit-identical (serial vs parallel)"
-else
-    echo "FAIL odbsim_faults_xeon-quad-mp.csv differs between serial and parallel runs" >&2
-    status=1
-fi
 
 if [ "$status" -eq 0 ]; then
     echo "bench_smoke: PASS ($out_json)"

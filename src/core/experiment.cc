@@ -15,27 +15,19 @@ namespace odbsim::core
 RunResult
 ExperimentRunner::run(const OltpConfiguration &cfg, const RunKnobs &knobs)
 {
-    MachinePreset preset = makeMachine(
+    const MachinePreset preset = makeMachine(
         cfg.machine, cfg.processors, knobs.samplePeriod, knobs.seed);
-    preset.sys.topology = cfg.topology;
-    return runWithPreset(preset, cfg.warehouses, cfg.clients, knobs,
-                         cfg.placement);
+    return runWithPreset(preset, cfg.warehouses, cfg.clients, knobs);
 }
 
 RunResult
 ExperimentRunner::runWithPreset(const MachinePreset &preset,
                                 unsigned warehouses, unsigned cfg_clients,
-                                const RunKnobs &knobs,
-                                const os::PlacementConfig &placement)
+                                const RunKnobs &knobs)
 {
     const auto wall_start = std::chrono::steady_clock::now();
 
-    // Knob-level fault plan: copied into the machine description so
-    // the System constructs its FaultPlan from it. An empty default
-    // leaves the run bit-identical (inertness contract).
-    os::SystemConfig syscfg = preset.sys;
-    syscfg.faults = knobs.faults;
-    os::System sys(syscfg);
+    os::System sys(preset.sys);
 
     db::DatabaseConfig dbcfg;
     dbcfg.schema.warehouses = warehouses;
@@ -50,7 +42,6 @@ ExperimentRunner::runWithPreset(const MachinePreset &preset,
     odb::WorkloadConfig wcfg;
     wcfg.clients = clients;
     wcfg.seed = knobs.seed * 7919 + warehouses;
-    wcfg.placement = placement;
     odb::OdbWorkload workload(database, wcfg);
     workload.start();
 
@@ -139,8 +130,6 @@ ExperimentRunner::runWithPreset(const MachinePreset &preset,
 
     r.busUtil = r.counters.busUtilization;
     r.ioqCycles = r.counters.ioqCycles;
-    r.remoteMissShare = sys.memsys().remoteMissShare();
-    r.linkUtil = sys.memsys().linkUtilizationMean();
     r.coherenceShareOfL3 =
         c.l3Misses.total() > 0.0
             ? c.coherenceMisses.total() / c.l3Misses.total()
@@ -148,39 +137,6 @@ ExperimentRunner::runWithPreset(const MachinePreset &preset,
 
     r.breakdown =
         analysis::computeCpiBreakdown(r.counters, knobs.ioq1pCycles);
-
-    // Fault-injection outcomes: all zero on the default plan (and
-    // kept out of the golden CSVs either way).
-    {
-        const sim::FaultStats &fs = sys.faults().stats();
-        r.txnAborts = fs.txnAborts;
-        r.txnRetries = fs.txnRetries;
-        r.lockTimeouts = fs.lockTimeouts;
-        r.diskTransientErrors = fs.diskTransientErrors;
-        r.driveFailures = fs.driveFailures;
-        r.redoReplayedBytes = fs.redoReplayedBytes;
-        if (fs.crashes > 0 && fs.recoveryEndTick > fs.crashTick) {
-            r.mttrMs = secondsFromTicks(fs.recoveryEndTick -
-                                        fs.crashTick) * 1e3;
-            const Tick span = ticksFromMs(500.0);
-            const Tick pre_lo = fs.crashTick > span
-                                    ? fs.crashTick - span
-                                    : 0;
-            r.tpsPreCrash =
-                static_cast<double>(workload.commitsBetween(
-                    pre_lo, fs.crashTick)) /
-                secondsFromTicks(fs.crashTick - pre_lo);
-            // Settled post-recovery rate: the first 150 ms after
-            // instance-up are the revival burst and client ramp, not
-            // steady state.
-            const Tick post_lo =
-                fs.recoveryEndTick + ticksFromMs(150.0);
-            r.tpsPostRecovery =
-                static_cast<double>(workload.commitsBetween(
-                    post_lo, post_lo + span)) /
-                secondsFromTicks(span);
-        }
-    }
 
     // Host-side profiling: what this point cost to produce. Filled
     // last so the wall time covers construction, warm-up, measurement

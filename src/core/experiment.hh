@@ -21,10 +21,7 @@
 
 #include "core/machine.hh"
 #include "core/metrics.hh"
-#include "mem/topology.hh"
-#include "os/placement.hh"
 #include "sim/event_queue.hh"
-#include "sim/fault.hh"
 #include "sim/types.hh"
 
 namespace odbsim::core
@@ -41,13 +38,6 @@ struct OltpConfiguration
     unsigned clients = 0;
     /** Machine preset to measure on. */
     MachineKind machine = MachineKind::XeonQuadMp;
-    /**
-     * Socket topology overriding the preset's (default: one socket,
-     * the paper's machines; see docs/TOPOLOGY.md).
-     */
-    mem::TopologyConfig topology;
-    /** Server-process placement on that topology (default: legacy). */
-    os::PlacementConfig placement;
 };
 
 /**
@@ -76,8 +66,7 @@ struct RunKnobs
     /** IOQ residency (bus cycles) of the 1P baseline for the Table 4
      *  L3 stall formula; the paper measured 102. */
     double ioq1pCycles = 102.0;
-    /** Fault-injection plan (default: none — structurally inert, the
-     *  run is bit-identical to one without the subsystem). */
+    /** No effect; kept only because perfbench/staged.cc assigns it. */
     sim::FaultConfig faults;
     /** Dynamic warm-up added per warehouse on top of @ref warmup, in
      *  simulated milliseconds: larger databases need more transactions
@@ -121,22 +110,17 @@ class ExperimentRunner
      * @brief Measure a configuration on a hand-built machine
      * (ablations: custom cache sizes, disk counts, bus parameters).
      *
-     * @param preset     Machine description (CPUs, caches, disks, bus,
-     *                    topology).
+     * @param preset     Machine description (CPUs, caches, disks, bus).
      * @param warehouses Workload scale in warehouses.
      * @param clients    Concurrent clients; 0 selects the paper's
      *                   Table 1 value.
      * @param knobs      Simulation control (windows in Ticks, seed,
      *                   sampling).
-     * @param placement  Server placement on the preset's topology
-     *                   (default: legacy unpinned behaviour).
      * @return All RunResult metrics over the measurement window.
      */
     static RunResult runWithPreset(const MachinePreset &preset,
                                    unsigned warehouses, unsigned clients,
-                                   const RunKnobs &knobs = {},
-                                   const os::PlacementConfig &placement =
-                                       {});
+                                   const RunKnobs &knobs = {});
 };
 
 } // namespace odbsim::core

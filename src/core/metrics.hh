@@ -69,38 +69,6 @@ struct RunResult
     double coherenceShareOfL3 = 0.0;
     /** @} */
 
-    /**
-     * @name Socket topology (multi-socket runs only; both exactly
-     * zero at S=1 and excluded from the golden study CSVs)
-     * @{
-     */
-    /** Share of L3 misses serviced by a remote socket. */
-    double remoteMissShare = 0.0;
-    /** Mean inter-socket interconnect utilization. */
-    double linkUtil = 0.0;
-    /** @} */
-
-    /**
-     * @name Fault injection (robustness runs only; all exactly zero
-     * under the default fault-free plan and excluded from the golden
-     * study CSVs, which must stay bit-identical)
-     * @{
-     */
-    std::uint64_t txnAborts = 0;
-    std::uint64_t txnRetries = 0;
-    std::uint64_t lockTimeouts = 0;
-    std::uint64_t diskTransientErrors = 0;
-    std::uint64_t driveFailures = 0;
-    std::uint64_t redoReplayedBytes = 0;
-    /** Mean time to recover: crash tick to instance-up, ms (0 when no
-     *  crash was injected). */
-    double mttrMs = 0.0;
-    /** Committed-txn rate over the 500 ms before the crash. */
-    double tpsPreCrash = 0.0;
-    /** Committed-txn rate over the 500 ms after recovery completed. */
-    double tpsPostRecovery = 0.0;
-    /** @} */
-
     /** CPI decomposition (Figure 12 / Tables 3-4). */
     analysis::CpiComponents breakdown;
 

@@ -94,8 +94,6 @@ ScalingStudy::run(const StudyConfig &cfg)
         point.warehouses = cfg.warehouses[wi];
         point.processors = cfg.processors[pi];
         point.machine = cfg.machine;
-        point.topology = cfg.topology;
-        point.placement = cfg.placement;
         RunResult r = ExperimentRunner::run(point, cfg.knobs);
         if (cfg.onPoint) {
             std::lock_guard<std::mutex> lock(progress_mutex);

@@ -37,11 +37,6 @@ struct StudyConfig
     std::vector<unsigned> processors = {1, 2, 4};
     /** Machine preset every point is measured on. */
     MachineKind machine = MachineKind::XeonQuadMp;
-    /** Socket topology applied to every point (default: one socket,
-     *  the legacy machine; see docs/TOPOLOGY.md). */
-    mem::TopologyConfig topology;
-    /** Server placement on that topology (default: legacy). */
-    os::PlacementConfig placement;
     /** Simulation-control knobs shared by every point (seed included;
      *  per-point streams are derived from it plus the configuration). */
     RunKnobs knobs;

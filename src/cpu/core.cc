@@ -56,10 +56,8 @@ CpuCore::stallCyclesFor(const mem::AccessResult &res, bool is_code) const
         break;
       case mem::ServicedBy::Memory:
       case mem::ServicedBy::RemoteCache:
-        // The memory system reports the load- and topology-dependent
-        // part (bus queueing, plus interconnect hops on multi-socket
-        // machines); at S=1 it is exactly the front-side bus
-        // queueWaitCycles() this code used to read itself.
+        // The memory system reports the load-dependent part (bus
+        // queueing).
         cycles += c.l3MissCycles + res.memStallExtraCycles;
         break;
     }

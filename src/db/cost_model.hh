@@ -44,12 +44,6 @@ struct DbCostModel
     std::uint64_t lgwrFlushInstr = 12000;
     /** DBWR per-block write-queue processing cost. */
     std::uint64_t dbwrPerBlockInstr = 2500;
-    /** Fixed cost of rolling back a transaction (undo application
-     *  setup, lock release sweep, client error round trip). */
-    std::uint64_t abortBaseInstr = 60000;
-    /** Per-replayed-action rollback cost: undo records are applied for
-     *  the prefix of the transaction that already executed. */
-    std::uint64_t abortPerActionInstr = 1500;
     /** Latch-spin style extra cycles per buffer get ("Other" CPI). */
     double bufferGetExtraCycles = 250.0;
 };

@@ -13,8 +13,6 @@ Database::Database(os::System &sys, const DatabaseConfig &cfg)
       bufcache_(resolveFrames(cfg, schema_)), log_(sys, cfg_.costs),
       dbwr_(sys, cfg_.costs, bufcache_, cfg.dbwr)
 {
-    locks_.bind(&sys);
-    dbwr_.bindLog(&log_);
 }
 
 std::uint64_t

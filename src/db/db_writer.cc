@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "db/redo_log.hh"
 #include "mem/addr_space.hh"
 #include "sim/logging.hh"
 
@@ -53,7 +52,6 @@ class DbWriter::DbwrProcess : public os::Process
 
         // Then checkpoint aged (or backlogged) dirty resident blocks.
         const Tick now = sys.now();
-        const bool had_ckpt = !mgr_.ckpt_.empty();
         while (n < mgr_.cfg_.batchSize && !mgr_.ckpt_.empty()) {
             const auto &[block, dirtied_at] = mgr_.ckpt_.front();
             const bool aged =
@@ -73,12 +71,6 @@ class DbWriter::DbwrProcess : public os::Process
                 submit(b);
             }
         }
-        if (had_ckpt && mgr_.ckpt_.empty() && mgr_.log_) {
-            // The whole registered-dirty backlog reached the writer:
-            // redo older than this point will never be needed again.
-            mgr_.log_->advanceCheckpoint();
-        }
-
         if (n == 0) {
             // Nothing to do: sleep until the next scan (an urgent
             // enqueue wakes us earlier).

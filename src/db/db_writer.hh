@@ -29,8 +29,6 @@
 namespace odbsim::db
 {
 
-class LogManager;
-
 /** DBWR batching parameters. */
 struct DbWriterConfig
 {
@@ -62,14 +60,6 @@ class DbWriter
     /** Spawn the DBWR background process. */
     void start();
 
-    /**
-     * Bind the redo-log manager so DBWR can advance the checkpoint
-     * marker whenever its checkpoint queue fully drains — every dirty
-     * block registered before that point is on disk, so crash
-     * recovery need not replay redo older than it.
-     */
-    void bindLog(LogManager *log) { log_ = log; }
-
     /** A dirty block was evicted and must be written. */
     void enqueueEvicted(BlockId b);
 
@@ -99,7 +89,6 @@ class DbWriter
     BufferCache &bc_;
     DbWriterConfig cfg_;
     os::Process *proc_ = nullptr;
-    LogManager *log_ = nullptr;
     bool sleeping_ = false;
     bool throttled_ = false;
     sim::PooledFifo<BlockId> urgent_;

@@ -29,19 +29,8 @@ LockManager::freeWaiter(std::uint32_t n)
 {
     pool_[n].proc = nullptr;
     pool_[n].next = freeHead_;
-    ++pool_[n].stamp; // Invalidate any pending timeout on this node.
     freeHead_ = n;
     --waiters_;
-}
-
-void
-LockManager::bind(os::System *sys)
-{
-    sys_ = sys;
-    timeoutTicks_ =
-        sys && sys->faults().lockTimeoutEnabled()
-            ? sys->faults().lockWaitTimeoutTicks()
-            : 0;
 }
 
 os::Process *
@@ -84,49 +73,7 @@ LockManager::acquire(os::Process *p, LockKey key)
         pool_[res.tail].next = n;
     }
     res.tail = n;
-    if (timeoutTicks_ > 0) {
-        // Fault injection: arm the lock-wait timeout. No cancellation
-        // on grant — the (node, stamp) pair goes stale instead, so
-        // the grant path stays allocation- and branch-free.
-        const std::uint32_t stamp = pool_[n].stamp;
-        sys_->eq().scheduleAfter(timeoutTicks_, [this, key, n, stamp] {
-            onTimeout(key, n, stamp);
-        });
-    }
     return false;
-}
-
-void
-LockManager::onTimeout(LockKey key, std::uint32_t n, std::uint32_t stamp)
-{
-    if (pool_[n].stamp != stamp || pool_[n].proc == nullptr)
-        return; // Granted (or otherwise retired) before the deadline.
-    const std::size_t i = table_.findIndex(key);
-    if (i == decltype(table_)::npos)
-        return;
-    Resource &res = table_.valueAt(i);
-    // Unlink the waiter from the resource's FIFO.
-    std::uint32_t prev = npos;
-    std::uint32_t cur = res.head;
-    while (cur != npos && cur != n) {
-        prev = cur;
-        cur = pool_[cur].next;
-    }
-    if (cur != n)
-        return; // Queued on a different resource that reused the key.
-    if (prev == npos) {
-        res.head = pool_[n].next;
-    } else {
-        pool_[prev].next = pool_[n].next;
-    }
-    if (res.tail == n)
-        res.tail = prev;
-    os::Process *p = pool_[n].proc;
-    freeWaiter(n);
-    ++sys_->faults().stats().lockTimeouts;
-    // Wake the waiter *without* the lock; it discovers the timeout by
-    // finding itself not the holder and aborts its transaction.
-    sys_->wakeProcess(p, 2500);
 }
 
 void

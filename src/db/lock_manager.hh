@@ -43,25 +43,13 @@ class LockManager
 {
   public:
     /**
-     * Bind the owning system. Required for lock-wait timeouts (the
-     * fault plan's lockWaitTimeoutMs knob): with timeouts enabled,
-     * every enqueued waiter schedules a timeout event; a waiter still
-     * queued when it fires is unlinked and woken *without* the lock
-     * (the caller detects this via holderOf() and aborts). Without
-     * the knob nothing is scheduled — the inert path is unchanged.
-     */
-    void bind(os::System *sys);
-
-    /**
      * Try to acquire @p key for @p p.
      * @return true if granted; false if @p p was enqueued and must
      *         block (it will be woken holding the lock).
      */
     bool acquire(os::Process *p, LockKey key);
 
-    /** Current holder of @p key (nullptr if unheld). After a wake, a
-     *  waiter distinguishes grant from timeout by checking whether it
-     *  is now the holder. */
+    /** Current holder of @p key (nullptr if unheld). */
     os::Process *holderOf(LockKey key) const;
 
     /** Release one lock, granting the oldest queued waiter. */
@@ -115,9 +103,6 @@ class LockManager
     /** @} */
 
   private:
-    void onTimeout(LockKey key, std::uint32_t n, std::uint32_t stamp);
-
-  private:
     /** Index sentinel for the intrusive waiter lists. */
     static constexpr std::uint32_t npos = ~std::uint32_t{0};
 
@@ -130,23 +115,16 @@ class LockManager
     };
 
     /** Pooled waiter-queue node (lives in the pool, linked by
-     *  index). The stamp is bumped every time the node is freed, so a
-     *  pending timeout event holding (node, stamp) can detect that its
-     *  waiter was already granted (or timed out) and the node reused —
-     *  the mechanism that makes same-tick grant-vs-timeout
-     *  deterministic: whichever fires first invalidates the other. */
+     *  index). */
     struct Waiter
     {
         os::Process *proc = nullptr;
         std::uint32_t next = npos;
-        std::uint32_t stamp = 0;
     };
 
     std::uint32_t allocWaiter(os::Process *p);
     void freeWaiter(std::uint32_t n);
 
-    os::System *sys_ = nullptr;
-    Tick timeoutTicks_ = 0; ///< 0 = lock-wait timeouts disabled.
     sim::FlatMap<LockKey, Resource> table_;
     std::vector<Waiter> pool_;
     std::uint32_t freeHead_ = npos;

@@ -44,7 +44,6 @@ class LogManager::LgwrProcess : public os::Process
         mgr_.pendingBytes_ = 0;
         ++mgr_.flushes_;
         mgr_.bytesFlushed_ += bytes;
-        mgr_.totalBytesFlushed_ += bytes;
         mgr_.groupSize_.add(static_cast<double>(group_.size()));
 
         sys.chargeKernel(this, sys.kernelCosts().logWriteInstr);

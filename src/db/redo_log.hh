@@ -42,24 +42,6 @@ class LogManager
      */
     void requestCommit(os::Process *p, std::uint32_t bytes);
 
-    /** @name Checkpointing (bounds crash-recovery redo) @{ */
-    /**
-     * Mark a checkpoint: everything flushed so far is also in the
-     * data files, so recovery only replays redo written after this
-     * point. DBWR advances it whenever its checkpoint queue drains.
-     */
-    void advanceCheckpoint() { ckptBytes_ = totalBytesFlushed_; }
-
-    /** Redo bytes written since the last checkpoint — the volume a
-     *  crash recovery must replay. Based on a whole-run counter that
-     *  measurement-window resets do not touch. */
-    std::uint64_t
-    redoSinceCheckpoint() const
-    {
-        return totalBytesFlushed_ - ckptBytes_;
-    }
-    /** @} */
-
     /** @name Statistics @{ */
     std::uint64_t flushes() const { return flushes_; }
     std::uint64_t bytesFlushed() const { return bytesFlushed_; }
@@ -82,11 +64,6 @@ class LogManager
     std::uint64_t flushes_ = 0;
     std::uint64_t bytesFlushed_ = 0;
     std::uint64_t commitsServed_ = 0;
-    /** Whole-run flush volume: never reset (resetStats() zeroes the
-     *  windowed bytesFlushed_, which would underflow the checkpoint
-     *  arithmetic if it were the marker's base). */
-    std::uint64_t totalBytesFlushed_ = 0;
-    std::uint64_t ckptBytes_ = 0;
     RunningStat groupSize_;
 };
 

@@ -198,15 +198,21 @@ toString(TxnType t)
 /**
  * The inverse of one plan-time schema mutation.
  *
- * Plan-then-replay applies functional effects at plan time; when a
- * transaction aborts mid-replay (fault injection: timeout, spontaneous
- * abort, crash), the planner's *value* adjustments must be reversed so
- * a retry replans against correct state. Reversal is delta-based, not
- * value-restore: concurrent transactions may have planned against the
- * same row since, and subtracting this transaction's net delta leaves
- * their effects intact. Sequence allocations (order ids, history
- * sequence, undo cursor) are deliberately *not* reversed — committed
- * databases show the same gaps after rollbacks.
+ * Plan-then-replay applies functional effects at plan time; to roll a
+ * transaction back mid-replay, the planner's *value* adjustments must
+ * be reversed so a retry replans against correct state. Reversal is
+ * delta-based, not value-restore: concurrent transactions may have
+ * planned against the same row since, and subtracting this
+ * transaction's net delta leaves their effects intact. Sequence
+ * allocations (order ids, history sequence, undo cursor) are
+ * deliberately *not* reversed — committed databases show the same gaps
+ * after rollbacks.
+ *
+ * No replay path rolls back today. The records stay because deleting
+ * them measurably slowed set-up: without their small per-server
+ * buffers in the allocator's cache, glibc returns the heap to the OS
+ * after every grid point and the next point page-faults its tables
+ * back in (EXPERIMENTS.md, "islands and faults deleted").
  */
 struct PlanUndo
 {

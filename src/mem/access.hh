@@ -56,11 +56,8 @@ struct AccessResult
     ServicedBy servicedBy = ServicedBy::L2;
     /**
      * Extra stall cycles beyond the fixed Table 3 costs, valid when
-     * l3Miss(): the bus queueing delay of the servicing socket, plus —
-     * on a multi-socket topology — the interconnect hop latency and
-     * link queueing of a remote access. On a single-socket machine
-     * this is exactly the front-side bus queueWaitCycles() the CPU
-     * model historically read itself.
+     * l3Miss(): the front-side bus queueWaitCycles() seen by the
+     * miss.
      */
     double memStallExtraCycles = 0.0;
 

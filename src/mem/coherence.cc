@@ -66,20 +66,6 @@ CoherenceDirectory::onWriteHit(unsigned cpu, Addr line_addr)
 }
 
 void
-CoherenceDirectory::touchSolo(Addr line_addr, bool is_write)
-{
-    odbsim_assert(numCpus_ == 1,
-                  "touchSolo is only valid on a single-CPU directory");
-    LineState &e = table_.findOrInsert(line_addr);
-    if (is_write) {
-        e.sharers = 1u;
-        e.modifiedOwner = 0;
-    } else {
-        e.sharers |= 1u;
-    }
-}
-
-void
 CoherenceDirectory::bindL3(const SetAssocCache &l3, unsigned compress_shift,
                            unsigned line_shift)
 {

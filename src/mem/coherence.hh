@@ -18,7 +18,7 @@
  * allocations — growth only happens while the tracked-line population
  * reaches a new high-water mark (observable via tableAllocations()).
  *
- * A single-CPU, single-socket machine makes its directory implicit in
+ * A single-CPU machine makes its directory implicit in
  * the L3 tag store instead (bindL3): its table then only holds the few
  * lines written in L2 while absent from L3, and L3 hits and evictions
  * skip the directory entirely.
@@ -80,22 +80,6 @@ class CoherenceDirectory
      * @return bitmask of CPUs whose copies must be invalidated.
      */
     std::uint32_t onWriteHit(unsigned cpu, Addr line_addr);
-
-    /**
-     * Single-CPU fast path covering onFill and onWriteHit at once.
-     *
-     * With one CPU the sharer mask is only ever bit 0, so
-     * onFill/onWriteHit provably cannot observe a remote copy:
-     * `remote = sharers & ~1` is always 0 (no invalidations, no
-     * counter increments) and `modifiedOwner` is only ever -1 or 0, so
-     * `remoteDirty` is always false. The only work left is keeping the
-     * line *tracked* so snoop(), onDmaFill() and trackedLines() stay
-     * bit-identical to the general path. Callers must only use this
-     * on a directory constructed with num_cpus == 1 (asserted). A
-     * single-socket machine uses the implicit form instead (bindL3);
-     * this explicit one serves one CPU on a multi-socket topology.
-     */
-    void touchSolo(Addr line_addr, bool is_write);
 
     /**
      * Make this single-CPU directory implicit in the L3 tag store

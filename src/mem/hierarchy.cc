@@ -87,19 +87,13 @@ MemorySystem::scaleGeometry(const CacheGeometry &g, std::uint32_t factor,
 MemorySystem::MemorySystem(unsigned num_cpus,
                            const HierarchyConfig &hier_cfg,
                            const BusConfig &bus_cfg,
-                           std::uint32_t sample_factor,
-                           const TopologyConfig &topo)
-    : hierCfg_(hier_cfg), topo_(topo), sampleFactor_(sample_factor),
+                           std::uint32_t sample_factor)
+    : hierCfg_(hier_cfg), sampleFactor_(sample_factor),
       weight_(sample_factor),
       lineMask_(~static_cast<Addr>(hier_cfg.l3.lineBytes - 1)),
       sampledStride_(static_cast<Addr>(hier_cfg.l3.lineBytes) *
                      sample_factor),
-      singleCpu_(num_cpus == 1),
-      sockets_(topo.sockets < 1 ? 1u : topo.sockets),
-      cpusPerSocket_((num_cpus + sockets_ - 1) / sockets_),
-      multiSocket_(sockets_ > 1),
-      implicitDir_(singleCpu_ && !multiSocket_), bus_(bus_cfg),
-      directory_(num_cpus)
+      singleCpu_(num_cpus == 1), bus_(bus_cfg), directory_(num_cpus)
 {
     odbsim_assert(num_cpus >= 1, "need at least one CPU");
     odbsim_assert(sample_factor >= 1 &&
@@ -108,11 +102,6 @@ MemorySystem::MemorySystem(unsigned num_cpus,
     odbsim_assert(std::has_single_bit(
                       static_cast<std::uint64_t>(hier_cfg.l3.lineBytes)),
                   "line size must be a power of two");
-    odbsim_assert(!(multiSocket_ && hier_cfg.sharedL3),
-                  "CMP (one die) and multi-socket topology are exclusive");
-    odbsim_assert(sockets_ <= maxCoherentCpus, "too many sockets");
-    odbsim_assert(topo_.pageShift >= 6 && topo_.pageShift <= 30,
-                  "unreasonable topology page shift");
     const CacheGeometry l2 =
         scaleGeometry(hier_cfg.l2, sample_factor, "l2");
     const CacheGeometry l3 =
@@ -123,64 +112,25 @@ MemorySystem::MemorySystem(unsigned num_cpus,
     if (hier_cfg.sharedL3)
         sharedL3_ = std::make_unique<SetAssocCache>("shared-l3", l3);
 
-    // Sockets 1..S-1 get their own bus and directory; the interconnect
-    // reuses the M/G/1 bus model with link occupancies and no base
-    // residency (the per-hop latency is charged separately).
-    if (multiSocket_) {
-        for (unsigned s = 1; s < sockets_; ++s) {
-            extraBuses_.push_back(
-                std::make_unique<FrontSideBus>(bus_cfg));
-            extraDirs_.push_back(
-                std::make_unique<CoherenceDirectory>(num_cpus));
-        }
-        BusConfig link_cfg = bus_cfg;
-        link_cfg.baseTransactionCycles = 0.0;
-        link_cfg.lineOccupancyCycles = topo_.linkOccupancyCycles;
-        link_cfg.dmaOccupancyCyclesPerKb =
-            topo_.linkDmaOccupancyCyclesPerKb;
-        link_ = std::make_unique<FrontSideBus>(link_cfg);
-    }
-    buses_.push_back(&bus_);
-    dirs_.push_back(&directory_);
-    for (unsigned s = 1; s < sockets_; ++s) {
-        buses_.push_back(extraBuses_[s - 1].get());
-        dirs_.push_back(extraDirs_[s - 1].get());
-    }
-
-    // Pre-size the directories for the lines the caches can keep
+    // Pre-size the directory for the lines the caches can keep
     // resident so warm-up performs no rehash (perf hint only; the
-    // tables still grow on demand). An implicit directory's table only
+    // table still grows on demand). An implicit directory's table only
     // holds lines written in L2 while absent from L3.
-    if (implicitDir_) {
+    if (singleCpu_) {
         const CpuCacheHierarchy &h = *cpus_[0];
         directory_.bindL3(sharedL3_ ? *sharedL3_ : h.l3_, h.compressShift_,
                           h.lineShift_);
         directory_.reserve(l2.numLines());
     } else {
-        for (CoherenceDirectory *d : dirs_)
-            d->reserve(num_cpus * (l3.numLines() + l2.numLines()));
+        directory_.reserve(num_cpus * (l3.numLines() + l2.numLines()));
     }
-}
-
-void
-MemorySystem::setHomeRegion(Addr base, std::uint64_t bytes,
-                            unsigned socket)
-{
-    if (!multiSocket_ || bytes == 0)
-        return;
-    odbsim_assert(socket < sockets_, "home socket out of range");
-    const Addr first = base >> topo_.pageShift;
-    const Addr last = (base + bytes - 1) >> topo_.pageShift;
-    for (Addr page = first; page <= last; ++page)
-        homePages_.findOrInsert(page) =
-            static_cast<std::uint8_t>(socket);
 }
 
 AccessResult
 MemorySystem::access(unsigned cpu_id, Addr addr, AccessKind kind,
                      ExecMode mode, Tick now)
 {
-    advanceBuses(now);
+    bus_.maybeUpdate(now);
     CpuCacheHierarchy &h = *cpus_[cpu_id];
     return accessImpl(h, h.counters(mode), addr, kind);
 }
@@ -211,19 +161,14 @@ MemorySystem::accessImpl(CpuCacheHierarchy &h, MemCounters &ctr,
     SetAssocCache &l3 = sharedL3_ ? *sharedL3_ : h.l3_;
     if (h.l2_.access(caddr, is_write).hit) {
         if (is_write) {
-            if (implicitDir_) {
+            if (singleCpu_) {
                 // The implicit directory owns the line through its L3
                 // tag, or through the side table when L3 lost it (see
                 // CoherenceDirectory::bindL3).
                 if (!l3.markOwned(caddr))
                     directory_.ownOutsideL3(line);
-            } else if (singleCpu_) {
-                // Multi-socket P=1: onWriteHit's remote mask is
-                // provably empty (sharers can only be bit 0), so only
-                // the directory's tracking state needs to advance.
-                dirFor(line).touchSolo(line, true);
             } else {
-                std::uint32_t mask = dirFor(line).onWriteHit(cpu_id, line);
+                std::uint32_t mask = directory_.onWriteHit(cpu_id, line);
                 while (mask) {
                     const unsigned j =
                         static_cast<unsigned>(std::countr_zero(mask));
@@ -236,9 +181,9 @@ MemorySystem::accessImpl(CpuCacheHierarchy &h, MemCounters &ctr,
         return res;
     }
     ctr.l2Misses += weight;
-    // Every single-socket SMP L2 miss ends in onFill for this line:
-    // start loading its directory slot while the L3 tag store runs.
-    if (!singleCpu_ && !multiSocket_)
+    // Every SMP L2 miss ends in onFill for this line: start loading
+    // its directory slot while the L3 tag store runs.
+    if (!singleCpu_)
         directory_.prefetch(line);
 
     const CacheAccessResult l3res = l3.access(caddr, is_write);
@@ -252,34 +197,20 @@ MemorySystem::accessImpl(CpuCacheHierarchy &h, MemCounters &ctr,
             // core's L2 copy and its directory state.
             for (auto &c : cpus_)
                 c->l2_.invalidate(l3res.evictedLineAddr);
-            if (!implicitDir_)
+            if (!singleCpu_)
                 directory_.onDmaFill(victim_line);
-        } else if (!implicitDir_) {
-            dirFor(victim_line).onEviction(cpu_id, victim_line);
+        } else if (!singleCpu_) {
+            directory_.onEviction(cpu_id, victim_line);
         }
-        if (l3res.evictedDirty) {
-            if (!multiSocket_) {
-                bus_.addLineTransfers(static_cast<double>(weight));
-            } else {
-                // The writeback lands in the victim's home memory and
-                // crosses the interconnect when that home is remote.
-                const unsigned vhome = homeSocket(victim_line);
-                buses_[vhome]->addLineTransfers(
-                    static_cast<double>(weight));
-                if (vhome != socketOf(cpu_id))
-                    link_->addLineTransfers(static_cast<double>(weight));
-            }
-        }
+        if (l3res.evictedDirty)
+            bus_.addLineTransfers(static_cast<double>(weight));
     }
     if (l3res.hit) {
         if (singleCpu_) {
             // P=1: a fill by the only CPU can neither observe a remote
             // dirty copy nor need invalidations. The implicit
             // directory already tracks the line through its L3 tag
-            // (access() set the owned bit on a write); a multi-socket
-            // one records it.
-            if (!implicitDir_)
-                dirFor(line).touchSolo(line, is_write);
+            // (access() set the owned bit on a write).
             res.servicedBy = ServicedBy::L3;
             return res;
         }
@@ -289,7 +220,7 @@ MemorySystem::accessImpl(CpuCacheHierarchy &h, MemCounters &ctr,
         // to invalidate live only in L2s (the L3 is shared); in SMP
         // mode the whole remote stack is invalidated.
         const CoherenceOutcome hit_out =
-            dirFor(line).onFill(cpu_id, line, is_write);
+            directory_.onFill(cpu_id, line, is_write);
         std::uint32_t mask = hit_out.invalidateMask;
         while (mask) {
             const unsigned j =
@@ -312,9 +243,6 @@ MemorySystem::accessImpl(CpuCacheHierarchy &h, MemCounters &ctr,
         return res;
     }
     ctr.l3Misses += weight;
-
-    if (multiSocket_)
-        return missMultiSocket(h, ctr, line, is_write, res);
 
     if (singleCpu_) {
         // P=1: an L3 miss is always serviced by memory — remoteDirty
@@ -351,81 +279,19 @@ MemorySystem::accessImpl(CpuCacheHierarchy &h, MemCounters &ctr,
     return res;
 }
 
-AccessResult
-MemorySystem::missMultiSocket(CpuCacheHierarchy &h, MemCounters &ctr,
-                              Addr line, bool is_write, AccessResult res)
-{
-    // The miss is orchestrated by the line's home socket: its
-    // directory classifies the miss and its bus carries the fill (and
-    // any writeback). The requester additionally pays per-hop latency
-    // and link queueing to reach the servicing socket when that socket
-    // is not its own.
-    const unsigned cpu_id = h.cpuId_;
-    const double weight = static_cast<double>(weight_);
-    const unsigned my_socket = cpu_id / cpusPerSocket_;
-    const unsigned home = homeSocket(line);
-    CoherenceDirectory &dir = *dirs_[home];
-    FrontSideBus &hb = *buses_[home];
-
-    double extra = hb.queueWaitCycles();
-    unsigned servicing = home;
-    if (singleCpu_) {
-        // P=1: no remote cache can hold the line dirty.
-        dir.touchSolo(line, is_write);
-        res.servicedBy = ServicedBy::Memory;
-    } else {
-        const CoherenceOutcome out = dir.onFill(cpu_id, line, is_write);
-        std::uint32_t mask = out.invalidateMask;
-        while (mask) {
-            const unsigned j =
-                static_cast<unsigned>(std::countr_zero(mask));
-            mask &= mask - 1;
-            cpus_[j]->invalidateLine(line);
-        }
-        if (out.remoteDirty) {
-            // Cache-to-cache transfer from the owner; its writeback
-            // also crosses the home bus.
-            cpus_[out.remoteOwner]->invalidateLine(line);
-            ctr.coherenceMisses += weight_;
-            hb.addLineTransfers(weight);
-            res.servicedBy = ServicedBy::RemoteCache;
-            servicing = out.remoteOwner / cpusPerSocket_;
-        } else {
-            res.servicedBy = ServicedBy::Memory;
-        }
-    }
-    if (servicing != my_socket) {
-        extra += topo_.hopLatencyCycles *
-                     socketHops(my_socket, servicing, sockets_) +
-                 link_->queueWaitCycles();
-        link_->addLineTransfers(weight);
-        remoteMisses_ += weight_;
-    } else {
-        localMisses_ += weight_;
-    }
-    hb.addLineTransfers(weight);
-    res.memStallExtraCycles = extra;
-    return res;
-}
-
 void
-MemorySystem::dmaFill(Addr base, std::uint64_t bytes, Tick now,
-                      int home_socket)
+MemorySystem::dmaFill(Addr base, std::uint64_t bytes, Tick now)
 {
-    advanceBuses(now);
-    if (!multiSocket_)
-        bus_.addDmaBytes(static_cast<double>(bytes));
+    bus_.maybeUpdate(now);
+    bus_.addDmaBytes(static_cast<double>(bytes));
 
-    // Only sampled lines can be cached; snoop just those. On a
-    // multi-socket topology this runs against the lines' *current*
-    // home directories, before any re-homing below.
+    // Only sampled lines can be cached; snoop just those.
     const Addr stride = sampledStride_;
     Addr first = base & ~static_cast<Addr>(stride - 1);
     if (first < base)
         first += stride;
     for (Addr line = first; line < base + bytes; line += stride) {
-        CoherenceDirectory &dir = dirFor(line);
-        const SnoopState s = dir.snoop(line);
+        const SnoopState s = directory_.snoop(line);
         if (!s.tracked)
             continue;
         for (unsigned j = 0; j < numCpus(); ++j) {
@@ -437,29 +303,14 @@ MemorySystem::dmaFill(Addr base, std::uint64_t bytes, Tick now,
                 ->invalidateLine(line);
         if (sharedL3_)
             sharedL3_->invalidate(cpus_[0]->compress(line));
-        dir.onDmaFill(line);
-    }
-
-    if (multiSocket_) {
-        // First-touch homing: the filled region moves to the socket of
-        // the process that requested the read (when the caller knows
-        // it). The DMA occupies the home bus, plus the interconnect
-        // when the home is not socket 0, where I/O attaches.
-        if (home_socket >= 0)
-            setHomeRegion(base, bytes,
-                          static_cast<unsigned>(home_socket));
-        const unsigned home = homeSocket(base);
-        buses_[home]->addDmaBytes(static_cast<double>(bytes));
-        if (home != 0)
-            link_->addDmaBytes(static_cast<double>(bytes));
+        directory_.onDmaFill(line);
     }
 }
 
 void
 MemorySystem::dmaDrain(std::uint64_t bytes, Tick now)
 {
-    advanceBuses(now);
-    // Drains always stage through socket 0, where I/O attaches.
+    bus_.maybeUpdate(now);
     bus_.addDmaBytes(static_cast<double>(bytes));
 }
 
@@ -472,14 +323,6 @@ MemorySystem::resetStats()
         sharedL3_->resetStats();
     bus_.resetStats();
     directory_.resetStats();
-    for (auto &b : extraBuses_)
-        b->resetStats();
-    for (auto &d : extraDirs_)
-        d->resetStats();
-    if (link_)
-        link_->resetStats();
-    localMisses_ = 0;
-    remoteMisses_ = 0;
 }
 
 void
@@ -489,8 +332,7 @@ MemorySystem::flushAll()
         c->flush();
     if (sharedL3_)
         sharedL3_->flush();
-    for (CoherenceDirectory *d : dirs_)
-        d->clear();
+    directory_.clear();
     resetStats();
 }
 

@@ -1,8 +1,7 @@
 /**
  * @file
  * Per-CPU cache hierarchy (L2 + L3 tag stores) and the system-wide
- * MemorySystem facade that adds bus, coherence and — on multi-socket
- * topologies — interconnect behaviour.
+ * MemorySystem facade that adds bus and coherence behaviour.
  *
  * The simulated reference stream is *set-sampled*: the CPU model feeds
  * only cache lines whose global line index is a multiple of the
@@ -12,14 +11,6 @@
  * levels (trace cache, L1D, TLB) contribute flat per-instruction
  * costs in the paper's own methodology and are modeled statistically
  * in the CPU core instead.
- *
- * With TopologyConfig::sockets > 1 the machine becomes a set of
- * hardware islands: each socket owns a front-side bus and a coherence
- * directory for the lines whose *home* is that socket, and misses that
- * leave their socket additionally traverse the bounded-bandwidth
- * interconnect (see docs/TOPOLOGY.md). With the default single socket
- * every topology path is bypassed and behaviour is bit-identical to
- * the legacy single-bus model.
  */
 
 #ifndef ODBSIM_MEM_HIERARCHY_HH
@@ -34,8 +25,6 @@
 #include "mem/bus.hh"
 #include "mem/cache.hh"
 #include "mem/coherence.hh"
-#include "mem/topology.hh"
-#include "sim/flat_map.hh"
 #include "sim/types.hh"
 
 namespace odbsim::mem
@@ -184,9 +173,8 @@ class CpuCacheHierarchy
 };
 
 /**
- * The full memory system: per-CPU hierarchies, one front-side bus and
- * coherence directory per socket, and (for multi-socket topologies)
- * the inter-socket interconnect and first-touch home map.
+ * The full memory system: per-CPU hierarchies (or CMP cores sharing
+ * one L3), one front-side bus and one coherence directory.
  */
 class MemorySystem
 {
@@ -230,12 +218,9 @@ class MemorySystem
      * @param sample_factor Set-sampling factor S: tag stores are
      *        built at 1/S capacity and callers must feed only lines
      *        whose index is a multiple of S, weighting counters by S.
-     * @param topo Socket topology; the default single socket keeps
-     *        the legacy single-bus model bit-identically.
      */
     MemorySystem(unsigned num_cpus, const HierarchyConfig &hier_cfg,
-                 const BusConfig &bus_cfg, std::uint32_t sample_factor,
-                 const TopologyConfig &topo = {});
+                 const BusConfig &bus_cfg, std::uint32_t sample_factor);
 
     /** Number of physical CPUs. */
     unsigned numCpus() const { return static_cast<unsigned>(cpus_.size()); }
@@ -249,80 +234,15 @@ class MemorySystem
     const CpuCacheHierarchy &cpu(unsigned i) const { return *cpus_[i]; }
     /** @} */
 
-    /** Socket 0's front-side bus (the only bus when sockets == 1). @{ */
+    /** The front-side bus. @{ */
     FrontSideBus &bus() { return bus_; }
     const FrontSideBus &bus() const { return bus_; }
     /** @} */
 
-    /** Socket 0's coherence directory (the only one at S=1). With one
-     *  CPU on one socket it is implicit in the L3 tag store
-     *  (CoherenceDirectory::bindL3). @{ */
+    /** The coherence directory. With one CPU it is implicit in the L3
+     *  tag store (CoherenceDirectory::bindL3). @{ */
     CoherenceDirectory &directory() { return directory_; }
     const CoherenceDirectory &directory() const { return directory_; }
-    /** @} */
-
-    /** @name Socket topology @{ */
-    /** The configured topology. */
-    const TopologyConfig &topology() const { return topo_; }
-    /** Socket count S (>= 1). */
-    unsigned numSockets() const { return sockets_; }
-    /** True when the multi-socket model is engaged (S > 1). */
-    bool multiSocket() const { return multiSocket_; }
-    /** Socket owning physical CPU @p cpu (always 0 at S=1). */
-    unsigned
-    socketOf(unsigned cpu) const
-    {
-        return multiSocket_ ? cpu / cpusPerSocket_ : 0;
-    }
-    /** Front-side bus of socket @p s. @{ */
-    FrontSideBus &busAt(unsigned s) { return *buses_[s]; }
-    const FrontSideBus &busAt(unsigned s) const { return *buses_[s]; }
-    /** @} */
-    /** Coherence directory of socket @p s. */
-    CoherenceDirectory &directoryAt(unsigned s) { return *dirs_[s]; }
-    /** The inter-socket interconnect model (nullptr at S=1). */
-    const FrontSideBus *interconnect() const { return link_.get(); }
-    /**
-     * Home socket of @p addr: the recorded first-touch home when one
-     * exists, else page-interleaved across the sockets. Always 0 at
-     * S=1.
-     */
-    unsigned
-    homeSocket(Addr addr) const
-    {
-        if (!multiSocket_)
-            return 0;
-        const Addr page = addr >> topo_.pageShift;
-        if (const std::uint8_t *h = homePages_.find(page))
-            return *h;
-        return static_cast<unsigned>(page % sockets_);
-    }
-    /**
-     * Record @p socket as the home of [base, base+bytes) — first-touch
-     * page homing (process private regions at first dispatch, buffer
-     * frames at fill time). No-op at S=1; later calls overwrite.
-     */
-    void setHomeRegion(Addr base, std::uint64_t bytes, unsigned socket);
-    /** @} */
-
-    /** @name Multi-socket statistics (all zero at S=1) @{ */
-    /** Weighted L3 misses serviced by a remote socket. */
-    std::uint64_t remoteMisses() const { return remoteMisses_; }
-    /** Share of L3 misses serviced by a remote socket, in [0, 1]. */
-    double
-    remoteMissShare() const
-    {
-        const std::uint64_t total = localMisses_ + remoteMisses_;
-        return total ? static_cast<double>(remoteMisses_) /
-                           static_cast<double>(total)
-                     : 0.0;
-    }
-    /** Mean interconnect utilization over the measurement period. */
-    double
-    linkUtilizationMean() const
-    {
-        return link_ ? link_->utilizationStat().mean() : 0.0;
-    }
     /** @} */
 
     /**
@@ -338,13 +258,13 @@ class MemorySystem
 
     /**
      * Open an access batch for @p cpu_id in @p mode at time @p now:
-     * advances the bus models once and resolves the counter block, so
+     * advances the bus model once and resolves the counter block, so
      * AccessEpoch::access runs only per-reference work.
      */
     AccessEpoch
     beginEpoch(unsigned cpu_id, ExecMode mode, Tick now)
     {
-        advanceBuses(now);
+        bus_.maybeUpdate(now);
         CpuCacheHierarchy &h = *cpus_[cpu_id];
         return AccessEpoch(*this, h, h.counters(mode));
     }
@@ -352,14 +272,9 @@ class MemorySystem
     /**
      * A DMA engine filled @p bytes at @p base (disk read into memory):
      * stale cached copies are invalidated and the transfer is charged
-     * to the home socket's bus. On a multi-socket topology a
-     * non-negative @p home_socket re-homes the region to that socket
-     * first (first-touch homing by the process that requested the
-     * read); DMA landing outside socket 0 (where I/O attaches) also
-     * crosses the interconnect.
+     * to the bus.
      */
-    void dmaFill(Addr base, std::uint64_t bytes, Tick now,
-                 int home_socket = -1);
+    void dmaFill(Addr base, std::uint64_t bytes, Tick now);
 
     /** DMA read of memory (disk write from memory): bus traffic only. */
     void dmaDrain(std::uint64_t bytes, Tick now);
@@ -367,7 +282,7 @@ class MemorySystem
     /** Reset statistics on every component (cache state is kept). */
     void resetStats();
 
-    /** Drop all cached state and statistics (home map is kept). */
+    /** Drop all cached state and statistics. */
     void flushAll();
 
   private:
@@ -379,70 +294,22 @@ class MemorySystem
     AccessResult accessImpl(CpuCacheHierarchy &h, MemCounters &ctr,
                             Addr addr, AccessKind kind);
 
-    /** The L3-miss tail of accessImpl on a multi-socket topology. */
-    AccessResult missMultiSocket(CpuCacheHierarchy &h, MemCounters &ctr,
-                                 Addr line, bool is_write,
-                                 AccessResult res);
-
-    /**
-     * Directory owning @p line: the home socket's on a multi-socket
-     * topology, the single directory otherwise.
-     */
-    CoherenceDirectory &
-    dirFor(Addr line)
-    {
-        return multiSocket_ ? *dirs_[homeSocket(line)] : directory_;
-    }
-
-    /** Advance every bus model (and the interconnect) to @p now. */
-    void
-    advanceBuses(Tick now)
-    {
-        bus_.maybeUpdate(now);
-        if (multiSocket_) {
-            for (auto &b : extraBuses_)
-                b->maybeUpdate(now);
-            link_->maybeUpdate(now);
-        }
-    }
-
     HierarchyConfig hierCfg_;
-    TopologyConfig topo_;
     std::uint32_t sampleFactor_;
     /** @name Per-access invariants, computed once in the constructor.
      *  @{ */
     std::uint64_t weight_;   ///< sampleFactor_ widened for counters.
     Addr lineMask_;          ///< ~(l3.lineBytes - 1)
     Addr sampledStride_;     ///< l3.lineBytes * sampleFactor_
-    bool singleCpu_;         ///< P=1: directory fast path applies.
-    unsigned sockets_;       ///< Socket count S (>= 1).
-    unsigned cpusPerSocket_; ///< ceil(P / S).
-    bool multiSocket_;       ///< S > 1: topology paths engaged.
-    /** Single socket and P=1: the directory is implicit in the L3 tag
-     *  store (CoherenceDirectory::bindL3). */
-    bool implicitDir_;
+    /** P=1: the directory is implicit in the L3 tag store
+     *  (CoherenceDirectory::bindL3). */
+    bool singleCpu_;
     /** @} */
     std::vector<std::unique_ptr<CpuCacheHierarchy>> cpus_;
     /** The on-die shared L3 (CMP mode only). */
     std::unique_ptr<SetAssocCache> sharedL3_;
     FrontSideBus bus_;
     CoherenceDirectory directory_;
-    /** Buses / directories of sockets 1..S-1 (empty at S=1). @{ */
-    std::vector<std::unique_ptr<FrontSideBus>> extraBuses_;
-    std::vector<std::unique_ptr<CoherenceDirectory>> extraDirs_;
-    /** @} */
-    /** Per-socket views: [0] = bus_/directory_, then the extras. @{ */
-    std::vector<FrontSideBus *> buses_;
-    std::vector<CoherenceDirectory *> dirs_;
-    /** @} */
-    /** The inter-socket interconnect (allocated only at S > 1). */
-    std::unique_ptr<FrontSideBus> link_;
-    /** First-touch page homes: page index -> socket. */
-    sim::FlatMap<Addr, std::uint8_t> homePages_;
-    /** Weighted L3 misses serviced locally / by a remote socket. @{ */
-    std::uint64_t localMisses_ = 0;
-    std::uint64_t remoteMisses_ = 0;
-    /** @} */
 };
 
 inline AccessResult

@@ -48,72 +48,28 @@ ServerProcess::baseWork(std::uint64_t instr) const
 os::NextAction
 ServerProcess::next(os::System &sys)
 {
-    // The instance crashed: roll back whatever is in flight and park
-    // until recovery finishes. Blocked servers reach this the next
-    // time their pending I/O or lock wake dispatches them.
-    if (crashRequested_)
-        return parkForCrash(sys);
-
     if (!txnActive_) {
-        sim::FaultPlan &faults = sys.faults();
-        if (retryPending_) {
-            // Client resubmission of the aborted transaction: same
-            // type, same warehouse, replanned against current state.
-            retryPending_ = false;
-            ++faults.stats().txnRetries;
-            planner_.plan(trace_.type, rng_, txnW_, trace_);
-        } else {
-            // Each transaction is submitted against a uniformly
-            // chosen warehouse, spanning the whole database as W
-            // scales — the working-set growth at the heart of the
-            // study. Shared rows (warehouse/district) collide at
-            // small W, producing the contention spike of Figure 8.
-            // Island-partitioned servers (wSpan_ != 0) draw from
-            // their own warehouse range instead, except for the
-            // cross-island fraction.
-            std::uint32_t w;
-            if (wSpan_ == 0) {
-                w = static_cast<std::uint32_t>(
-                    rng_.below(db_.schema().warehouses()));
-            } else if (crossFraction_ > 0.0 &&
-                       rng_.chance(crossFraction_)) {
-                w = static_cast<std::uint32_t>(
-                    rng_.below(db_.schema().warehouses()));
-            } else {
-                w = wLo_ +
-                    static_cast<std::uint32_t>(rng_.below(wSpan_));
-            }
-            txnW_ = w;
-            planner_.planRandom(rng_, w, trace_);
-        }
-        // Distributed transaction: the draw escaped the partition, so
-        // commit will pay the multi-instance coordination cost.
-        crossTxn_ = wSpan_ != 0 &&
-                    (txnW_ < wLo_ || txnW_ >= wLo_ + wSpan_);
+        // Each transaction is submitted against a uniformly chosen
+        // warehouse, spanning the whole database as W scales — the
+        // working-set growth at the heart of the study. Shared rows
+        // (warehouse/district) collide at small W, producing the
+        // contention spike of Figure 8.
+        const auto w = static_cast<std::uint32_t>(
+            rng_.below(db_.schema().warehouses()));
+        planner_.planRandom(rng_, w, trace_);
         pc_ = 0;
         txnActive_ = true;
         txnStart_ = sys.now();
         resume_ = Resume::None;
-        if (faults.txnAbortsEnabled() && faults.drawTxnAbort()) {
-            // Spontaneous abort (constraint violation, client
-            // cancel), armed now so replay dies mid-flight at a
-            // deterministic action index.
-            abortArmed_ = true;
-            abortAtPc_ = faults.drawAbortPoint(
-                static_cast<std::uint32_t>(trace_.actions.size()));
-        }
         odbsim_assert(heldLocks_.empty(),
                       "locks leaked across transactions");
     }
-
-    if (abortArmed_ && resume_ == Resume::None && pc_ >= abortAtPc_)
-        return abortAndRetry(sys);
 
     odbsim_assert(pc_ < trace_.actions.size(), "trace overrun");
     const Action &a = trace_.actions[pc_];
     switch (a.kind()) {
       case ActionKind::Lock:
-        return replayLock(sys, a);
+        return replayLock(a);
       case ActionKind::Unlock:
         return replayUnlock(sys, a);
       case ActionKind::Touch:
@@ -127,20 +83,13 @@ ServerProcess::next(os::System &sys)
 }
 
 os::NextAction
-ServerProcess::replayLock(os::System &sys, const Action &a)
+ServerProcess::replayLock(const Action &a)
 {
-    (void)sys;
     os::NextAction out;
     const auto &costs = db_.costs();
 
     if (resume_ == Resume::LockGranted) {
         resume_ = Resume::None;
-        if (db_.locks().holderOf(pendingLock_) != this) {
-            // Woken by the lock-wait timeout, not a grant: the
-            // manager already removed us from the waiter queue, so
-            // abort the transaction and let the client retry.
-            return abortAndRetry(sys);
-        }
         // Woken by the previous holder; the lock is ours now.
         heldLocks_.push_back(pendingLock_);
         ++pc_;
@@ -309,94 +258,12 @@ ServerProcess::replayCommit(os::System &sys)
     }
 
     // Durable (or read-only): release locks, finish the transaction.
-    // Cross-partition transactions settle the distributed-coordination
-    // bill here (2PC messaging, duplicated log work).
     resume_ = Resume::None;
     db_.locks().releaseAll(this, heldLocks_, sys);
-    out.work = baseWork(3000 + (crossTxn_ ? coordInstr_ : 0));
-    crossTxn_ = false;
+    out.work = baseWork(3000);
     txnActive_ = false;
-    abortArmed_ = false;
-    workload_.recordCommit(trace_.type, sys.now() - txnStart_,
-                           sys.now());
+    workload_.recordCommit(trace_.type, sys.now() - txnStart_);
     out.after = os::NextAction::After::Continue;
-    return out;
-}
-
-void
-ServerProcess::rollback(os::System &sys)
-{
-    // Normalize whatever mid-action state the transaction died in. A
-    // LockGranted wake may or may not actually hold the lock (grant
-    // vs timeout — holderOf distinguishes); a FillDone wake means the
-    // DMA landed, so publish the fill rather than leaving the frame
-    // in-transit forever. A pending log flush needs nothing: the redo
-    // of an aborted transaction is simply wasted log bandwidth.
-    switch (resume_) {
-      case Resume::LockGranted:
-        if (db_.locks().holderOf(pendingLock_) == this)
-            heldLocks_.push_back(pendingLock_);
-        break;
-      case Resume::FillDone:
-        db_.bufferCache().fillComplete(pendingFrame_);
-        break;
-      case Resume::None:
-      case Resume::Flushed:
-        break;
-    }
-    resume_ = Resume::None;
-
-    // Reverse the plan-time schema mutations, newest first, so the
-    // retry replans against correct state (delta-based: concurrent
-    // plans against the same rows survive; see db::PlanUndo).
-    db::Schema &schema = db_.schema();
-    for (auto it = trace_.undo.rbegin(); it != trace_.undo.rend(); ++it)
-        schema.applyPlanUndo(*it);
-
-    db_.locks().releaseAll(this, heldLocks_, sys);
-    txnActive_ = false;
-    abortArmed_ = false;
-    crossTxn_ = false;
-}
-
-os::NextAction
-ServerProcess::abortAndRetry(os::System &sys)
-{
-    const std::size_t replayed = pc_;
-    rollback(sys);
-    sim::FaultPlan &faults = sys.faults();
-    ++faults.stats().txnAborts;
-    retryPending_ = true;
-
-    // Rollback cost scales with how far replay got (undo records
-    // applied for the executed prefix), then the client backs off
-    // with jitter before resubmitting.
-    const auto &costs = db_.costs();
-    os::NextAction out;
-    out.work = baseWork(costs.abortBaseInstr +
-                        costs.abortPerActionInstr *
-                            static_cast<std::uint64_t>(replayed));
-    sys.sleepProcess(this, faults.drawClientBackoff());
-    out.after = os::NextAction::After::Block;
-    return out;
-}
-
-os::NextAction
-ServerProcess::parkForCrash(os::System &sys)
-{
-    if (txnActive_) {
-        // The killed transaction is rolled back here at the data
-        // level (the timing cost of recovery's undo/redo work is the
-        // RecoveryProcess's job) and resubmitted once the instance is
-        // back up.
-        rollback(sys);
-        ++sys.faults().stats().txnAborts;
-        retryPending_ = true;
-    }
-    workload_.parkCrashed(this);
-    os::NextAction out;
-    out.work = baseWork(500); // Connection teardown remnant.
-    out.after = os::NextAction::After::Block;
     return out;
 }
 

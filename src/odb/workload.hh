@@ -14,7 +14,6 @@
 #include "db/database.hh"
 #include "db/trace.hh"
 #include "odb/planner.hh"
-#include "os/placement.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -29,13 +28,6 @@ struct WorkloadConfig
     unsigned clients = 8;           ///< Concurrent clients (servers).
     TxnMix mix;                     ///< Transaction-type mix.
     std::uint64_t seed = 0x0dbULL;  ///< Workload RNG seed.
-    /**
-     * Server placement on the machine's socket topology. The default
-     * None keeps the legacy unpinned, uniformly-drawing behaviour
-     * bit-identically; Island pins each server to a socket group and
-     * partitions its warehouse draws (see docs/TOPOLOGY.md).
-     */
-    os::PlacementConfig placement;
 };
 
 /**
@@ -54,31 +46,8 @@ class OdbWorkload
     /** Home warehouse of each spawned client. */
     const std::vector<std::uint32_t> &homes() const { return homes_; }
 
-    /**
-     * Server process @p i (valid after start()). Multi-island
-     * deployments use this to address cross-island coordination
-     * messages to a specific server on the target instance.
-     */
-    ServerProcess *server(std::size_t i) const { return servers_[i]; }
-
     /** Called by ServerProcess at commit time. */
-    void recordCommit(db::TxnType type, Tick latency, Tick now);
-
-    /** @name Crash + recovery orchestration (inert without a crash
-     *  knob: nothing is scheduled and the timeline stays empty) @{ */
-    /** A crashed server rolled back and is about to block. */
-    void parkCrashed(ServerProcess *p);
-    /** Redo replay finished: record MTTR, revive every server. */
-    void recoveryComplete();
-    /** Servers currently parked behind the crash. */
-    std::size_t parkedCount() const { return parked_.size(); }
-    /**
-     * Commits whose completion fell in [@p a, @p b), from the 10 ms
-     * commit timeline kept on crash-enabled runs — how bench_faults
-     * reads the throughput dip and the post-recovery ramp.
-     */
-    std::uint64_t commitsBetween(Tick a, Tick b) const;
-    /** @} */
+    void recordCommit(db::TxnType type, Tick latency);
 
     /** @name Statistics @{ */
     std::uint64_t committed() const;
@@ -100,25 +69,12 @@ class OdbWorkload
     /** @} */
 
   private:
-    /** Commit-timeline bucket width (crash-enabled runs only). */
-    static constexpr Tick timelineBucketTicks = 10 * tickPerMs;
-
-    void beginCrash();
-
     db::Database &db_;
     WorkloadConfig cfg_;
     TxnPlanner planner_;
     Rng rng_;
     bool started_ = false;
     std::vector<std::uint32_t> homes_;
-    /** Spawned servers (owned by the System; observers here). */
-    std::vector<ServerProcess *> servers_;
-    /** Servers parked behind the instance crash. */
-    std::vector<ServerProcess *> parked_;
-    /** Commits per 10 ms of absolute sim time; only populated when
-     *  the fault plan schedules a crash (inertness contract). */
-    std::vector<std::uint32_t> timeline_;
-    bool trackTimeline_ = false;
 
     std::uint64_t counts_[db::numTxnTypes] = {};
     RunningStat latency_[db::numTxnTypes];

@@ -56,11 +56,7 @@ Disk::serviceTicks(const DiskRequest &req)
             cfg_.minPositionMs +
             rng_.exponential(std::max(0.05, mean - cfg_.minPositionMs));
     }
-    Tick t = ticksFromMs(position_ms + transfer_ms);
-    if (degradeFactor_ != 1.0) {
-        t = static_cast<Tick>(static_cast<double>(t) * degradeFactor_);
-    }
-    return t;
+    return ticksFromMs(position_ms + transfer_ms);
 }
 
 void
@@ -84,39 +80,7 @@ Disk::startNext()
     QueuedReq qr = q.popFront();
     current_ = std::move(qr.req);
     currentQueuedAt_ = qr.queuedAt;
-    attempt_ = 1;
-    beginService();
-}
-
-void
-Disk::beginService()
-{
-    eq_.scheduleAfter(serviceTicks(current_), [this] { serviceDone(); });
-}
-
-void
-Disk::serviceDone()
-{
-    if (faults_ && faults_->diskFaultsEnabled()) {
-        const unsigned max_retries = faults_->config().diskMaxRetries;
-        if (attempt_ <= max_retries && faults_->drawDiskTransient()) {
-            // Transient medium error: the controller backs off and
-            // retries in place. The drive stays busy (head-of-line),
-            // but the backoff wait is not service time.
-            ++faults_->stats().diskTransientErrors;
-            busyTicks_ += eq_.curTick() - busySince_;
-            const Tick backoff = faults_->diskBackoffTicks(attempt_);
-            ++attempt_;
-            eq_.scheduleAfter(backoff, [this] {
-                busySince_ = eq_.curTick();
-                beginService();
-            });
-            return;
-        }
-        if (attempt_ > max_retries)
-            ++faults_->stats().diskRetriesExhausted;
-    }
-    complete();
+    eq_.scheduleAfter(serviceTicks(current_), [this] { complete(); });
 }
 
 void
@@ -142,15 +106,6 @@ Disk::complete()
 }
 
 void
-Disk::takeQueued(std::vector<DiskRequest> &out)
-{
-    while (!readQueue_.empty())
-        out.push_back(std::move(readQueue_.popFront().req));
-    while (!writeQueue_.empty())
-        out.push_back(std::move(writeQueue_.popFront().req));
-}
-
-void
 Disk::resetStats()
 {
     reads_ = 0;
@@ -163,7 +118,6 @@ Disk::resetStats()
 
 DiskArray::DiskArray(const DiskArrayConfig &cfg, EventQueue &eq,
                      std::uint64_t seed)
-    : eq_(eq)
 {
     odbsim_assert(cfg.dataDisks >= 1, "need at least one data disk");
     odbsim_assert(cfg.logDisks >= 1, "need at least one log disk");
@@ -178,76 +132,12 @@ DiskArray::DiskArray(const DiskArrayConfig &cfg, EventQueue &eq,
     }
 }
 
-void
-DiskArray::bindFaults(sim::FaultPlan *plan)
-{
-    faults_ = plan;
-    if (!plan)
-        return;
-    for (auto &d : dataDisks_)
-        d->setFaultPlan(plan);
-    for (auto &d : logDisks_)
-        d->setFaultPlan(plan);
-    if (!plan->driveEventsEnabled())
-        return;
-    for (const sim::DriveFaultEvent &ev : plan->config().driveEvents) {
-        if (ev.drive >= dataDisks_.size()) {
-            odbsim_fatal("fault config: driveEvents[].drive ", ev.drive,
-                         " out of range (", dataDisks_.size(),
-                         " data disks)");
-        }
-        eq_.schedule(ticksFromMs(ev.atMs),
-                     [this, ev] { onDriveEvent(ev); });
-    }
-}
-
-void
-DiskArray::onDriveEvent(const sim::DriveFaultEvent &ev)
-{
-    Disk &d = *dataDisks_[ev.drive];
-    if (!ev.fail) {
-        d.degrade(ev.degradeFactor);
-        return;
-    }
-    if (d.failed())
-        return;
-    d.failDrive();
-    anyFailed_ = true;
-    ++faults_->stats().driveFailures;
-    // Orphaned queue entries move to the next surviving drives. The
-    // in-service request completes on its own (the data was already
-    // in flight). Failure is a rare, one-shot event, so the temporary
-    // vector here is exempt from the steady-state allocation gate.
-    std::vector<DiskRequest> orphans;
-    d.takeQueued(orphans);
-    for (DiskRequest &req : orphans) {
-        ++faults_->stats().reroutedRequests;
-        survivorFrom(ev.drive + 1).submit(std::move(req));
-    }
-}
-
-Disk &
-DiskArray::survivorFrom(std::uint64_t start)
-{
-    const std::size_t n = dataDisks_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        Disk &d = *dataDisks_[(start + i) % n];
-        if (!d.failed())
-            return d;
-    }
-    odbsim_fatal("fault injection: every data drive has failed");
-}
-
 Disk &
 DiskArray::routeData(std::uint64_t block_id)
 {
     // Multiplicative hash spreads block ids over the stripe set.
     const std::uint64_t h = block_id * 0x9e3779b97f4a7c15ULL;
-    const std::uint64_t slot = h % dataDisks_.size();
-    Disk &d = *dataDisks_[slot];
-    if (anyFailed_ && d.failed())
-        return survivorFrom(slot + 1);
-    return d;
+    return *dataDisks_[h % dataDisks_.size()];
 }
 
 void
@@ -272,14 +162,6 @@ DiskArray::writeLog(std::uint64_t bytes, std::function<void()> on_complete)
     Disk &d = *logDisks_[nextLogDisk_];
     nextLogDisk_ = (nextLogDisk_ + 1) % logDisks_.size();
     d.submit(DiskRequest{bytes, true, true, std::move(on_complete)});
-}
-
-void
-DiskArray::readLog(std::uint64_t bytes, std::function<void()> on_complete)
-{
-    Disk &d = *logDisks_[nextLogReadDisk_];
-    nextLogReadDisk_ = (nextLogReadDisk_ + 1) % logDisks_.size();
-    d.submit(DiskRequest{bytes, false, true, std::move(on_complete)});
 }
 
 std::uint64_t

@@ -7,15 +7,6 @@
  * requests (the redo log) pay a much smaller cost. The studied system
  * had 26 Ultra320 SCSI drives; the array routes data blocks by hash
  * and reserves dedicated drives for the two redo-log files.
- *
- * Fault injection (sim::FaultPlan) adds three degradation modes, all
- * inert unless a plan with the matching knobs is bound: transient
- * medium errors retried in place with capped doubling backoff (the
- * drive stays busy head-of-line, so queued requests feel the stall),
- * degraded drives whose service times stretch by a multiplier, and
- * whole-drive failures after which the array re-routes the drive's
- * traffic to survivors. Retries never allocate: the in-service
- * request lives in the drive, not in a queue node.
  */
 
 #ifndef ODBSIM_OS_DISK_HH
@@ -28,7 +19,6 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
-#include "sim/fault.hh"
 #include "sim/pooled_fifo.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
@@ -85,27 +75,13 @@ class Disk
         return readQueue_.size() + writeQueue_.size();
     }
 
-    /** @name Fault injection @{ */
-    /** Bind the run's fault plan (null/inert plans change nothing). */
-    void setFaultPlan(sim::FaultPlan *plan) { faults_ = plan; }
-    /** Stretch all subsequent service times by @p factor (>= 1). */
-    void degrade(double factor) { degradeFactor_ = factor; }
-    /** Mark the drive dead; the array re-routes around it. */
-    void failDrive() { failed_ = true; }
-    bool failed() const { return failed_; }
-    /** Move every queued (not in-service) request out, reads first,
-     *  for re-routing after a drive failure. */
-    void takeQueued(std::vector<DiskRequest> &out);
-    /** @} */
-
     /** @name Statistics @{ */
     std::uint64_t completedReads() const { return reads_; }
     std::uint64_t completedWrites() const { return writes_; }
     std::uint64_t bytesRead() const { return bytesRead_; }
     std::uint64_t bytesWritten() const { return bytesWritten_; }
     const RunningStat &latency() const { return latency_; }
-    /** Ticks this drive spent servicing requests (retry backoff wait
-     *  keeps the drive busy but is not counted as service). */
+    /** Ticks this drive spent servicing requests. */
     Tick busyTicks() const { return busyTicks_; }
     /** Queue-pool growth events (zero-allocation gate hook). */
     std::uint64_t
@@ -125,8 +101,6 @@ class Disk
     };
 
     void startNext();
-    void beginService();
-    void serviceDone();
     void complete();
     Tick serviceTicks(const DiskRequest &req);
 
@@ -134,19 +108,14 @@ class Disk
     DiskConfig cfg_;
     EventQueue &eq_;
     Rng rng_;
-    sim::FaultPlan *faults_ = nullptr;
 
     sim::PooledFifo<QueuedReq> readQueue_;
     sim::PooledFifo<QueuedReq> writeQueue_;
     bool busy_ = false;
-    bool failed_ = false;
-    double degradeFactor_ = 1.0;
 
-    /** The in-service request (held here, not in a queue node, so
-     *  transient-error retries re-service it without allocating). */
+    /** The in-service request. */
     DiskRequest current_;
     Tick currentQueuedAt_ = 0;
-    unsigned attempt_ = 1;
 
     std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;
@@ -175,13 +144,6 @@ class DiskArray
     DiskArray(const DiskArrayConfig &cfg, EventQueue &eq,
               std::uint64_t seed);
 
-    /**
-     * Bind the run's fault plan: propagate it to every drive and
-     * schedule the plan's degrade/fail drive events. A null or inert
-     * plan schedules nothing and changes nothing.
-     */
-    void bindFaults(sim::FaultPlan *plan);
-
     /** Read one data block (random access). */
     void readBlock(std::uint64_t block_id, std::uint64_t bytes,
                    std::function<void()> on_complete);
@@ -192,9 +154,6 @@ class DiskArray
 
     /** Sequential write to the redo log. */
     void writeLog(std::uint64_t bytes, std::function<void()> on_complete);
-
-    /** Sequential read from the redo log (crash recovery). */
-    void readLog(std::uint64_t bytes, std::function<void()> on_complete);
 
     unsigned numDataDisks() const
     {
@@ -225,16 +184,10 @@ class DiskArray
 
   private:
     Disk &routeData(std::uint64_t block_id);
-    Disk &survivorFrom(std::uint64_t start);
-    void onDriveEvent(const sim::DriveFaultEvent &ev);
 
-    EventQueue &eq_;
-    sim::FaultPlan *faults_ = nullptr;
     std::vector<std::unique_ptr<Disk>> dataDisks_;
     std::vector<std::unique_ptr<Disk>> logDisks_;
     unsigned nextLogDisk_ = 0;
-    unsigned nextLogReadDisk_ = 0;
-    bool anyFailed_ = false;
 };
 
 } // namespace odbsim::os

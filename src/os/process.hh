@@ -74,20 +74,6 @@ class Process
         return mem::addrmap::processPrivateBase(pid_);
     }
 
-    /**
-     * Restrict the process to the logical CPUs set in @p mask (bit i =
-     * CPU i). The default all-ones mask reproduces the unpinned legacy
-     * scheduler bit-identically. Set before spawning; island placement
-     * uses this to pin servers to a socket's CPUs.
-     */
-    void setCpuAffinity(std::uint32_t mask) { cpuAffinity_ = mask; }
-
-    /** Allowed-CPU mask (all ones when unpinned). */
-    std::uint32_t cpuAffinity() const { return cpuAffinity_; }
-
-    /** Logical CPU of the most recent dispatch. */
-    unsigned lastCpu() const { return lastCpu_; }
-
   private:
     friend class Scheduler;
     friend class System;
@@ -95,12 +81,6 @@ class Process
     std::string name_;
     std::uint64_t pid_ = 0;
     State state_ = State::New;
-    /** Allowed-CPU bitmask; ~0 = any CPU (legacy behaviour). */
-    std::uint32_t cpuAffinity_ = ~std::uint32_t{0};
-    /** CPU of the most recent dispatch (NUMA first-touch anchor). */
-    unsigned lastCpu_ = 0;
-    /** Private region already homed to a socket (multi-socket only). */
-    bool numaHomed_ = false;
     /** Wake arrived while the process was still retiring a chunk. */
     bool wakePending_ = false;
     /** Kernel instructions to charge before the next user chunk

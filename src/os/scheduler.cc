@@ -20,25 +20,12 @@ Scheduler::makeReady(Process *p)
                   "makeReady on runnable process ", p->name());
     p->state_ = Process::State::Ready;
     for (unsigned c = 0; c < slots_.size(); ++c) {
-        if (slots_[c].current == nullptr && eligible(p, c)) {
+        if (slots_[c].current == nullptr) {
             dispatch(c, p);
             return;
         }
     }
     ready_.pushBack(p);
-}
-
-bool
-Scheduler::hasEligibleReady(unsigned cpu) const
-{
-    // With default all-ones masks the first element matches, so this
-    // costs the same as the !ready_.empty() check it generalizes.
-    for (std::uint32_t n = ready_.head();
-         n != decltype(ready_)::npos; n = ready_.next(n)) {
-        if (eligible(ready_.at(n), cpu))
-            return true;
-    }
-    return false;
 }
 
 void
@@ -60,16 +47,7 @@ Scheduler::dispatch(unsigned cpu, Process *p)
 {
     CpuSlot &slot = slots_[cpu];
     odbsim_assert(slot.current == nullptr, "dispatch on busy CPU ", cpu);
-    odbsim_assert(eligible(p, cpu),
-                  "dispatch violates affinity of ", p->name());
 
-    p->lastCpu_ = cpu;
-    if (!p->numaHomed_) {
-        // First dispatch: on a multi-socket topology, first-touch home
-        // the process's private (PGA/stack) region on this socket.
-        p->numaHomed_ = true;
-        sys_.homeProcessPrivate(p, cpu);
-    }
     if (slot.lastRun != p || slot.wentIdle) {
         ctxSwitches_.inc();
         p->pendingKernelInstr_ +=
@@ -133,7 +111,7 @@ Scheduler::chunkDone(unsigned cpu, NextAction::After after)
     switch (after) {
       case NextAction::After::Continue:
         if (sys_.now() - slot.sliceStart >= quantum_ &&
-            hasEligibleReady(cpu)) {
+            !ready_.empty()) {
             // Quantum expired and somebody is waiting: preempt.
             p->state_ = Process::State::Ready;
             ready_.pushBack(p);
@@ -170,19 +148,11 @@ Scheduler::chunkDone(unsigned cpu, NextAction::After after)
 void
 Scheduler::pickNext(unsigned cpu)
 {
-    CpuSlot &slot = slots_[cpu];
-    // Frontmost ready process allowed on this CPU; with default
-    // all-ones masks this is exactly the legacy front pop.
-    std::uint32_t prev = decltype(ready_)::npos;
-    for (std::uint32_t n = ready_.head();
-         n != decltype(ready_)::npos; prev = n, n = ready_.next(n)) {
-        if (eligible(ready_.at(n), cpu)) {
-            Process *p = ready_.erase(prev, n);
-            dispatch(cpu, p);
-            return;
-        }
+    if (ready_.empty()) {
+        slots_[cpu].wentIdle = true;
+        return;
     }
-    slot.wentIdle = true;
+    dispatch(cpu, ready_.popFront());
 }
 
 void

@@ -8,13 +8,6 @@
  * Matching Linux accounting, a context switch is counted whenever a
  * CPU dispatches a task other than the one it ran last, and whenever
  * it dispatches after an idle period (the idle task counts as a task).
- *
- * Processes may carry a CPU-affinity mask (Process::setCpuAffinity);
- * the scheduler then dispatches each process only to allowed CPUs and
- * a CPU picks the frontmost *eligible* ready process. With the default
- * all-ones masks every decision below reduces exactly to the legacy
- * global round-robin, which is what keeps single-socket runs
- * bit-identical (see docs/TOPOLOGY.md).
  */
 
 #ifndef ODBSIM_OS_SCHEDULER_HH
@@ -78,16 +71,6 @@ class Scheduler
         Tick sliceStart = 0;
         Tick busyTicks = 0;
     };
-
-    /** May @p p run on @p cpu under its affinity mask? */
-    static bool
-    eligible(const Process *p, unsigned cpu)
-    {
-        return (p->cpuAffinity_ >> cpu) & 1u;
-    }
-
-    /** Is any ready process allowed to run on @p cpu? */
-    bool hasEligibleReady(unsigned cpu) const;
 
     void dispatch(unsigned cpu, Process *p);
     void runChunk(unsigned cpu);

@@ -9,10 +9,8 @@ namespace odbsim::os
 
 System::System(const SystemConfig &cfg)
     : cfg_(cfg),
-      faults_(cfg.faults, cfg.seed ^ 0xfa17ULL),
       memsys_(cfg.numCpus / std::max(1u, cfg.threadsPerCore),
-              cfg.hierarchy, cfg.bus, cfg.core.samplePeriod,
-              cfg.topology),
+              cfg.hierarchy, cfg.bus, cfg.core.samplePeriod),
       disks_(cfg.disks, eq_, cfg.seed ^ 0xd15cULL),
       sched_(*this, cfg.numCpus, cfg.quantum),
       rng_(cfg.seed)
@@ -26,7 +24,6 @@ System::System(const SystemConfig &cfg)
             i, cfg.core, memsys_, cfg.seed + i,
             i / cfg.threadsPerCore));
     }
-    disks_.bindFaults(&faults_);
 }
 
 Process *
@@ -39,43 +36,12 @@ System::spawn(std::unique_ptr<Process> p)
     return raw;
 }
 
-std::uint32_t
-System::socketAffinityMask(unsigned first_socket,
-                           unsigned num_sockets) const
-{
-    std::uint32_t mask = 0;
-    for (unsigned i = 0; i < numCpus(); ++i) {
-        const unsigned s = socketOfCpu(i);
-        if (s >= first_socket && s < first_socket + num_sockets)
-            mask |= 1u << i;
-    }
-    odbsim_assert(mask != 0, "socket affinity mask selects no CPU");
-    return mask;
-}
-
-void
-System::homeProcessPrivate(Process *p, unsigned cpu)
-{
-    if (memsys_.numSockets() <= 1)
-        return;
-    memsys_.setHomeRegion(p->privateBase(), mem::addrmap::pgaStride,
-                          socketOfCpu(cpu));
-}
-
 void
 System::diskReadForProcess(Process *p, std::uint64_t block_id,
                            Addr frame_addr, std::uint64_t bytes)
 {
-    // First-touch homing: the filled frame belongs to the socket the
-    // requesting process runs on (it is Running right now, so lastCpu
-    // is current). -1 on single-socket topologies = no homing.
-    const int home =
-        memsys_.numSockets() > 1
-            ? static_cast<int>(socketOfCpu(p->lastCpu()))
-            : -1;
-    disks_.readBlock(block_id, bytes, [this, p, frame_addr, bytes,
-                                       home] {
-        memsys_.dmaFill(frame_addr, bytes, now(), home);
+    disks_.readBlock(block_id, bytes, [this, p, frame_addr, bytes] {
+        memsys_.dmaFill(frame_addr, bytes, now());
         sched_.wake(p, cfg_.kernel.ioCompleteInstr);
     });
 }
@@ -123,7 +89,6 @@ System::beginMeasurement()
     memsys_.resetStats();
     disks_.resetStats();
     sched_.resetStats();
-    faults_.resetCounters();
     windowStart_ = now();
 }
 

@@ -21,7 +21,6 @@
 #include "os/process.hh"
 #include "os/scheduler.hh"
 #include "sim/event_queue.hh"
-#include "sim/fault.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/types.hh"
@@ -50,13 +49,11 @@ struct SystemConfig
     cpu::CoreConfig core;
     mem::HierarchyConfig hierarchy;
     mem::BusConfig bus;
-    /** Socket topology (default: one socket, the legacy machine). */
-    mem::TopologyConfig topology;
     DiskArrayConfig disks;
     KernelCosts kernel;
     /** Scheduler time slice. */
     Tick quantum = 20 * tickPerMs;
-    /** Fault-injection knobs (default: none; structurally inert). */
+    /** No effect; kept only because perfbench/staged.cc assigns it. */
     sim::FaultConfig faults;
     /** No effect; kept only because perfbench/staged.cc assigns it. */
     EventQueueKind eventQueue = EventQueueKind::heap;
@@ -102,41 +99,11 @@ class System
         return i ^ 1;
     }
 
-    /** @name Socket topology @{ */
-    /** Socket count S of the configured topology (>= 1). */
-    unsigned numSockets() const { return memsys_.numSockets(); }
-
-    /** Socket owning logical CPU @p i (always 0 at S=1). */
-    unsigned
-    socketOfCpu(unsigned i) const
-    {
-        return memsys_.socketOf(physicalOf(i));
-    }
-
-    /**
-     * Affinity mask over the logical CPUs of sockets
-     * [@p first_socket, @p first_socket + @p num_sockets).
-     */
-    std::uint32_t socketAffinityMask(unsigned first_socket,
-                                     unsigned num_sockets) const;
-
-    /**
-     * First-touch home @p p's private (PGA/stack) region on the socket
-     * of logical CPU @p cpu. Called by the scheduler on the first
-     * dispatch; a no-op on single-socket topologies.
-     */
-    void homeProcessPrivate(Process *p, unsigned cpu);
-    /** @} */
-
     Scheduler &sched() { return sched_; }
     const Scheduler &sched() const { return sched_; }
 
     DiskArray &disks() { return disks_; }
     const DiskArray &disks() const { return disks_; }
-
-    /** The run's fault plan (inert when no fault knobs are set). */
-    sim::FaultPlan &faults() { return faults_; }
-    const sim::FaultPlan &faults() const { return faults_; }
 
     const KernelCosts &kernelCosts() const { return cfg_.kernel; }
 
@@ -211,9 +178,6 @@ class System
     SystemConfig cfg_;
     /** Constructed before disks_, which schedules on it. */
     EventQueue eq_;
-    /** Constructed before disks_ so drive-event binding can refer to
-     *  it; its RNG stream is independent of the workload's. */
-    sim::FaultPlan faults_;
     mem::MemorySystem memsys_;
     std::vector<std::unique_ptr<cpu::CpuCore>> cores_;
     DiskArray disks_;

@@ -37,6 +37,16 @@ enum class EventQueueKind : std::uint8_t
     heap,
 };
 
+namespace sim
+{
+
+/** Type of SystemConfig::faults and RunKnobs::faults, which have no
+ *  effect; kept only because perfbench/staged.cc assigns them. */
+struct FaultConfig
+{};
+
+} // namespace sim
+
 /**
  * Time-ordered queue of callback events.
  */

@@ -8,13 +8,7 @@
  * or below the high-water population never touches the heap. That is
  * the property the zero-allocation replay gate needs from every
  * hot-path queue (disk request queues, DBWR work queues, the scheduler
- * ready queue), including fault-injection requeues during retry and
- * backoff.
- *
- * The queue also exposes its intrusive links (head()/next()/erase())
- * so users that scan for the first *eligible* element — the scheduler
- * honouring CPU affinity — can unlink from the middle in O(1) once
- * the predecessor is known.
+ * ready queue).
  *
  * Growth events are observable via allocations(): perf tests pin the
  * counter after warm-up and assert it stays flat.
@@ -92,33 +86,6 @@ class PooledFifo
         --size_;
         return out;
     }
-
-    /** @name Intrusive traversal (for scan-and-unlink users) @{ */
-    std::uint32_t head() const { return head_; }
-    std::uint32_t next(std::uint32_t n) const { return pool_[n].next; }
-    T &at(std::uint32_t n) { return pool_[n].value; }
-    const T &at(std::uint32_t n) const { return pool_[n].value; }
-
-    /**
-     * Unlink node @p n whose predecessor is @p prev (npos when @p n is
-     * the head) and return its value.
-     */
-    T
-    erase(std::uint32_t prev, std::uint32_t n)
-    {
-        if (prev == npos) {
-            head_ = pool_[n].next;
-        } else {
-            pool_[prev].next = pool_[n].next;
-        }
-        if (tail_ == n)
-            tail_ = prev;
-        T out = std::move(pool_[n].value);
-        freeNode(n);
-        --size_;
-        return out;
-    }
-    /** @} */
 
   private:
     struct Node

@@ -1,9 +1,8 @@
 /**
  * @file
  * Tests for the row-lock manager: grant/queue semantics, FIFO
- * hand-off with wake-up, re-entrancy, statistics, releaseAll wake
- * ordering, and fault-injected lock-wait timeouts (including the
- * same-tick grant-vs-timeout race).
+ * hand-off with wake-up, re-entrancy, statistics and releaseAll wake
+ * ordering.
  */
 
 #include <gtest/gtest.h>
@@ -256,93 +255,6 @@ TEST(LockManager, ReleaseAllHandsEachLockToItsOldestWaiter)
     EXPECT_EQ(rig.locks.holderOf(100), rig.p2);
     EXPECT_EQ(rig.locks.holderOf(200), rig.p3);
     EXPECT_EQ(rig.locks.waiterCount(), 1u);
-}
-
-/** Rig whose system carries a 5 ms lock-wait timeout fault plan. */
-struct TimeoutRig
-{
-    os::System sys;
-    LockManager locks;
-    os::Process *p1;
-    os::Process *p2;
-    os::Process *p3;
-
-    TimeoutRig()
-        : sys([] {
-              os::SystemConfig cfg;
-              cfg.numCpus = 1;
-              cfg.core.samplePeriod = 16;
-              cfg.disks.dataDisks = 1;
-              cfg.disks.logDisks = 1;
-              cfg.faults.lockWaitTimeoutMs = 5.0;
-              return cfg;
-          }())
-    {
-        locks.bind(&sys);
-        p1 = sys.spawn(std::make_unique<ParkedProcess>());
-        p2 = sys.spawn(std::make_unique<ParkedProcess>());
-        p3 = sys.spawn(std::make_unique<ParkedProcess>());
-        sys.runFor(tickPerMs); // Let everyone park.
-    }
-};
-
-TEST(LockTimeout, ExpiredWaiterIsWokenWithoutTheLock)
-{
-    TimeoutRig rig;
-    rig.locks.acquire(rig.p1, 100);
-    EXPECT_FALSE(rig.locks.acquire(rig.p2, 100));
-    rig.sys.runFor(10 * tickPerMs); // Past the 5 ms deadline.
-
-    // p2 was unlinked and woken empty-handed; p1 still holds the row.
-    EXPECT_EQ(rig.sys.faults().stats().lockTimeouts, 1u);
-    EXPECT_EQ(rig.locks.holderOf(100), rig.p1);
-    EXPECT_EQ(rig.locks.waiterCount(), 0u);
-
-    // The hand-off chain is gone: releasing retires the resource.
-    rig.locks.release(rig.p1, 100, rig.sys);
-    EXPECT_EQ(rig.locks.heldCount(), 0u);
-}
-
-TEST(LockTimeout, GrantBeforeDeadlineMakesTheTimeoutStale)
-{
-    TimeoutRig rig;
-    rig.locks.acquire(rig.p1, 100);
-    rig.locks.acquire(rig.p2, 100); // Arms a timeout at now + 5 ms.
-    rig.locks.release(rig.p1, 100, rig.sys); // Granted immediately.
-    EXPECT_EQ(rig.locks.holderOf(100), rig.p2);
-
-    // The armed timeout fires against a recycled (stamp-bumped) node
-    // and must be a no-op, even though p3 now waits on the same key
-    // through a reused pool slot.
-    rig.locks.acquire(rig.p3, 100);
-    rig.sys.runFor(4 * tickPerMs);
-    EXPECT_EQ(rig.sys.faults().stats().lockTimeouts, 0u);
-    EXPECT_EQ(rig.locks.holderOf(100), rig.p2);
-    EXPECT_EQ(rig.locks.waiterCount(), 1u);
-}
-
-TEST(LockTimeout, SameTickGrantVsTimeoutIsDeterministic)
-{
-    // The release lands on exactly the timeout tick. Event order
-    // within a tick is FIFO, the timeout was scheduled first (at
-    // enqueue), so the waiter times out and the release then retires
-    // the uncontended resource — on every run.
-    auto outcome = [](TimeoutRig &rig) {
-        rig.locks.acquire(rig.p1, 100);
-        rig.locks.acquire(rig.p2, 100);
-        rig.sys.eq().scheduleAfter(
-            rig.sys.faults().lockWaitTimeoutTicks(),
-            [&rig] { rig.locks.release(rig.p1, 100, rig.sys); });
-        rig.sys.runFor(10 * tickPerMs);
-        return std::make_pair(rig.sys.faults().stats().lockTimeouts,
-                              rig.locks.holderOf(100));
-    };
-    TimeoutRig a, b;
-    const auto ra = outcome(a);
-    const auto rb = outcome(b);
-    EXPECT_EQ(ra.first, 1u);
-    EXPECT_EQ(ra.second, nullptr);
-    EXPECT_EQ(ra, rb);
 }
 
 TEST(LockManager, StatsCountAcquires)

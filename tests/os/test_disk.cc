@@ -1,9 +1,7 @@
 /**
  * @file
  * Tests for the disk and disk-array models: queueing, service times,
- * routing, statistics, config validation, and fault injection
- * (transient-error retries, degraded drives, whole-drive failure
- * re-routing).
+ * routing, statistics and config validation.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +9,6 @@
 #include <limits>
 
 #include "os/disk.hh"
-#include "sim/fault.hh"
 
 namespace
 {
@@ -198,22 +195,6 @@ TEST(DiskArray, SplitsDataAndLogStatistics)
     EXPECT_EQ(arr.totalWrites(), 2u);
 }
 
-TEST(DiskArray, ReadLogRoundRobinsAcrossLogDisks)
-{
-    EventQueue eq;
-    DiskArrayConfig cfg;
-    cfg.dataDisks = 2;
-    cfg.logDisks = 2;
-    cfg.disk = fastCfg();
-    DiskArray arr(cfg, eq, 16);
-    for (int i = 0; i < 4; ++i)
-        arr.readLog(4096, nullptr);
-    eq.runAll();
-    EXPECT_EQ(arr.logDisk(0).completedReads(), 2u);
-    EXPECT_EQ(arr.logDisk(1).completedReads(), 2u);
-    EXPECT_EQ(arr.dataReads(), 0u);
-}
-
 TEST(DiskArray, QueueAllocationsStayFlatUnderChurn)
 {
     EventQueue eq;
@@ -267,159 +248,6 @@ TEST(DiskDeathTest, RejectsNonPositiveTransferRate)
     cfg.transferMbPerSec = 0.0;
     EXPECT_EXIT({ Disk d("bad", cfg, eq, 1); },
                 ::testing::ExitedWithCode(1), "transferMbPerSec");
-}
-
-TEST(DiskFaults, TransientErrorsRetryInPlaceAndStillComplete)
-{
-    EventQueue eq;
-    Disk d("d0", fastCfg(), eq, 21);
-    sim::FaultConfig fc;
-    fc.diskTransientProb = 1.0; // Every attempt errors out.
-    fc.diskMaxRetries = 3;
-    sim::FaultPlan plan(fc, 99);
-    d.setFaultPlan(&plan);
-
-    bool done = false;
-    d.submit(DiskRequest{8192, false, false, [&] { done = true; }});
-    eq.runAll();
-
-    // The controller burns every retry, then completes via spare
-    // remap: latency-only degradation, never a lost request.
-    EXPECT_TRUE(done);
-    EXPECT_EQ(d.completedReads(), 1u);
-    EXPECT_EQ(plan.stats().diskTransientErrors, 3u);
-    EXPECT_EQ(plan.stats().diskRetriesExhausted, 1u);
-}
-
-TEST(DiskFaults, RetriesAddLatencyOverAHealthyDisk)
-{
-    // Same config and seed; only one disk has the fault plan bound.
-    EventQueue eq_ok, eq_bad;
-    Disk ok("ok", fastCfg(), eq_ok, 22);
-    Disk bad("bad", fastCfg(), eq_bad, 22);
-    sim::FaultConfig fc;
-    fc.diskTransientProb = 1.0;
-    fc.diskMaxRetries = 2;
-    sim::FaultPlan plan(fc, 7);
-    bad.setFaultPlan(&plan);
-
-    Tick ok_done = 0, bad_done = 0;
-    // Sequential service is deterministic (no positioning draw), so
-    // the only difference is the retry spans plus backoff.
-    ok.submit(DiskRequest{8192, false, true,
-                          [&] { ok_done = eq_ok.curTick(); }});
-    bad.submit(DiskRequest{8192, false, true,
-                           [&] { bad_done = eq_bad.curTick(); }});
-    eq_ok.runAll();
-    eq_bad.runAll();
-
-    // Three service spans plus two backoffs vs one span.
-    EXPECT_EQ(bad_done, 3 * ok_done + plan.diskBackoffTicks(1) +
-                            plan.diskBackoffTicks(2));
-}
-
-TEST(DiskFaults, DegradeStretchesServiceTime)
-{
-    EventQueue eq;
-    Disk d("d0", fastCfg(), eq, 23);
-    Tick t0 = eq.curTick(), healthy = 0, degraded = 0;
-    d.submit(DiskRequest{8192, false, true,
-                         [&] { healthy = eq.curTick() - t0; }});
-    eq.runAll();
-
-    d.degrade(3.0);
-    const Tick t1 = eq.curTick();
-    d.submit(DiskRequest{8192, false, true,
-                         [&] { degraded = eq.curTick() - t1; }});
-    eq.runAll();
-
-    EXPECT_GE(degraded, 2 * healthy);
-    EXPECT_LE(degraded, 4 * healthy);
-}
-
-TEST(DiskFaults, DriveFailureReRoutesQueuedWork)
-{
-    EventQueue eq;
-    DiskArrayConfig cfg;
-    cfg.dataDisks = 2;
-    cfg.logDisks = 1;
-    cfg.disk = fastCfg();
-    DiskArray arr(cfg, eq, 24);
-
-    sim::FaultConfig fc;
-    sim::DriveFaultEvent ev;
-    ev.atMs = 0.5; // Mid-first-service: both drives have queues.
-    ev.drive = 0;
-    ev.fail = true;
-    fc.driveEvents.push_back(ev);
-    sim::FaultPlan plan(fc, 31);
-    arr.bindFaults(&plan);
-
-    for (std::uint64_t b = 0; b < 32; ++b)
-        arr.readBlock(b, 8192, nullptr);
-    eq.runAll();
-
-    // Nothing is lost: the in-flight request finishes on the dying
-    // drive, its queue drains through the survivor.
-    EXPECT_EQ(arr.totalReads(), 32u);
-    EXPECT_TRUE(arr.dataDisk(0).failed());
-    EXPECT_FALSE(arr.dataDisk(1).failed());
-    EXPECT_EQ(plan.stats().driveFailures, 1u);
-    EXPECT_GT(plan.stats().reroutedRequests, 0u);
-
-    // New traffic for blocks striped to the dead drive re-routes.
-    const std::uint64_t before = arr.dataDisk(0).completedReads();
-    for (std::uint64_t b = 0; b < 32; ++b)
-        arr.readBlock(b, 8192, nullptr);
-    eq.runAll();
-    EXPECT_EQ(arr.dataDisk(0).completedReads(), before);
-    EXPECT_EQ(arr.totalReads(), 64u);
-}
-
-TEST(DiskFaults, DuplicateFailureEventIsIdempotent)
-{
-    EventQueue eq;
-    DiskArrayConfig cfg;
-    cfg.dataDisks = 2;
-    cfg.logDisks = 1;
-    cfg.disk = fastCfg();
-    DiskArray arr(cfg, eq, 25);
-
-    sim::FaultConfig fc;
-    sim::DriveFaultEvent ev;
-    ev.atMs = 0.1;
-    ev.drive = 0;
-    ev.fail = true;
-    fc.driveEvents.push_back(ev);
-    ev.atMs = 0.2; // Second kill of the same drive: a no-op.
-    fc.driveEvents.push_back(ev);
-    sim::FaultPlan plan(fc, 32);
-    arr.bindFaults(&plan);
-
-    for (std::uint64_t b = 0; b < 8; ++b)
-        arr.readBlock(b, 8192, nullptr);
-    eq.runAll();
-    EXPECT_EQ(plan.stats().driveFailures, 1u);
-    EXPECT_EQ(arr.totalReads(), 8u);
-}
-
-TEST(DiskFaultsDeathTest, RejectsOutOfRangeDriveIndex)
-{
-    EventQueue eq;
-    DiskArrayConfig cfg;
-    cfg.dataDisks = 2;
-    cfg.logDisks = 1;
-    cfg.disk = fastCfg();
-    DiskArray arr(cfg, eq, 26);
-
-    sim::FaultConfig fc;
-    sim::DriveFaultEvent ev;
-    ev.drive = 5; // Only two data disks exist.
-    ev.fail = true;
-    fc.driveEvents.push_back(ev);
-    sim::FaultPlan plan(fc, 33);
-    EXPECT_EXIT({ arr.bindFaults(&plan); },
-                ::testing::ExitedWithCode(1), "out of range");
 }
 
 TEST(DiskArray, UtilizationOverWindow)

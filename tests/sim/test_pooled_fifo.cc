@@ -3,7 +3,7 @@
  * Tests for sim::PooledFifo — the pooled intrusive FIFO behind the
  * hot-path queues (disk read/write, DBWR urgent/checkpoint, scheduler
  * ready, lock waiters): FIFO semantics, node recycling without heap
- * growth, mid-list erase, and the release of captured state on free.
+ * growth, and the release of captured state on free.
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +24,6 @@ TEST(PooledFifo, StartsEmpty)
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.size(), 0u);
     EXPECT_EQ(q.allocations(), 0u);
-    EXPECT_EQ(q.head(), PooledFifo<int>::npos);
 }
 
 TEST(PooledFifo, FifoOrder)
@@ -79,56 +78,6 @@ TEST(PooledFifo, ReserveFrontLoadsTheAllocations)
     for (int i = 0; i < 16; ++i)
         q.pushBack(i);
     EXPECT_EQ(q.allocations(), allocs);
-}
-
-TEST(PooledFifo, IntrusiveTraversalSeesInsertionOrder)
-{
-    PooledFifo<int> q;
-    for (int i = 10; i < 14; ++i)
-        q.pushBack(i);
-    int expect = 10;
-    for (auto n = q.head(); n != PooledFifo<int>::npos; n = q.next(n))
-        EXPECT_EQ(q.at(n), expect++);
-    EXPECT_EQ(expect, 14);
-}
-
-TEST(PooledFifo, EraseMiddleKeepsOrder)
-{
-    PooledFifo<int> q;
-    for (int i = 0; i < 5; ++i)
-        q.pushBack(i);
-    // Find node holding 2 and its predecessor.
-    auto prev = PooledFifo<int>::npos;
-    auto n = q.head();
-    while (q.at(n) != 2) {
-        prev = n;
-        n = q.next(n);
-    }
-    EXPECT_EQ(q.erase(prev, n), 2);
-    EXPECT_EQ(q.size(), 4u);
-    const int expect[] = {0, 1, 3, 4};
-    int k = 0;
-    for (auto it = q.head(); it != PooledFifo<int>::npos;
-         it = q.next(it))
-        EXPECT_EQ(q.at(it), expect[k++]);
-}
-
-TEST(PooledFifo, EraseHeadAndTail)
-{
-    PooledFifo<int> q;
-    for (int i = 0; i < 3; ++i)
-        q.pushBack(i);
-    // Head (prev == npos).
-    EXPECT_EQ(q.erase(PooledFifo<int>::npos, q.head()), 0);
-    // Tail.
-    auto prev = q.head();
-    auto tail = q.next(prev);
-    EXPECT_EQ(q.erase(prev, tail), 2);
-    EXPECT_EQ(q.size(), 1u);
-    EXPECT_EQ(q.popFront(), 1);
-    // Reusable after draining through erases.
-    q.pushBack(9);
-    EXPECT_EQ(q.front(), 9);
 }
 
 TEST(PooledFifo, FreeingReleasesCapturedState)

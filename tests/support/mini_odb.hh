@@ -62,7 +62,7 @@ struct MiniOdb
     {}
 
     /** Full-control variant: bring your own system and database
-     *  configs (fault plans, checkpoint ages, disk shapes). */
+     *  configs (checkpoint ages, disk shapes). */
     MiniOdb(const os::SystemConfig &syscfg,
             const db::DatabaseConfig &dbcfg, unsigned clients)
         : sys(syscfg), db(sys, dbcfg), workload(db, [clients] {
